@@ -299,51 +299,28 @@ func gatewayOptions(o options) cluster.Options {
 	return co
 }
 
-// runGateway is run for gateway mode: same lifecycle (debug server,
-// signal-driven drain, invariant check at exit) around a cluster.Gateway.
-func runGateway(o options) error {
-	gw, err := cluster.NewGateway(gatewayOptions(o))
-	if err != nil {
-		return err
-	}
-	if o.debugAddr != "" {
-		stats.PublishExpvar("tcord", gw.Registry())
-		addr, stop, err := stats.ServeDebug(o.debugAddr)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/debug/vars\n", addr)
-	}
-	addr, err := gw.Start(o.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tcord: %s\n", buildinfo.Get())
-	fmt.Fprintf(os.Stderr, "tcord: gateway on http://%s over %d shards\n", addr, len(o.shards))
-	if o.chaos != "" {
-		fmt.Fprintf(os.Stderr, "tcord: CHAOS MODE armed (%s) at the proxy site\n", o.chaos)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	fmt.Fprintf(os.Stderr, "tcord: received %v, draining (budget %v)\n", got, o.drain)
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
-	defer cancel()
-	if err := gw.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	if err := gw.CheckInvariants(); err != nil {
-		return fmt.Errorf("gateway invariants violated at shutdown: %w", err)
-	}
-	return nil
+// daemon is what tcord runs in either mode: a serve.Server or a
+// cluster.Gateway, both mounted on the same serve.Front.
+type daemon interface {
+	Registry() *stats.Registry
+	Tracer() *stats.Tracer
+	Start(addr string) (string, error)
+	Shutdown(ctx context.Context) error
+	CheckInvariants() error
 }
 
 func run(o options) error {
 	if len(o.shards) > 0 {
-		return runGateway(o)
+		gw, err := cluster.NewGateway(gatewayOptions(o))
+		if err != nil {
+			return err
+		}
+		return serveUntilSignal(o, gw, func(addr string) {
+			fmt.Fprintf(os.Stderr, "tcord: gateway on http://%s over %d shards\n", addr, len(o.shards))
+			if o.chaos != "" {
+				fmt.Fprintf(os.Stderr, "tcord: CHAOS MODE armed (%s) at the proxy site\n", o.chaos)
+			}
+		})
 	}
 	srv := serve.NewServer(serveOptions(o))
 	if err := srv.JobsInitError(); err != nil {
@@ -352,10 +329,27 @@ func run(o options) error {
 		// 503 discovered at the first async submission.
 		return fmt.Errorf("durable job store (-jobs-dir %s): %w", o.jobsDir, err)
 	}
+	return serveUntilSignal(o, srv, func(addr string) {
+		fmt.Fprintf(os.Stderr, "tcord: serving on http://%s\n", addr)
+		if o.tenants != nil {
+			fmt.Fprintf(os.Stderr, "tcord: %d tenants loaded from %s\n", len(o.tenants.Tenants()), o.tenantsPath)
+		}
+		if o.jobsDir != "" {
+			fmt.Fprintf(os.Stderr, "tcord: durable jobs under %s\n", o.jobsDir)
+		}
+		if o.chaos != "" {
+			fmt.Fprintf(os.Stderr, "tcord: CHAOS MODE armed (%s) — responses include injected faults\n", o.chaos)
+		}
+	})
+}
 
+// serveUntilSignal is the lifecycle of either mode: the optional debug
+// server (expvar, pprof and the span trace), Start, then on SIGINT/SIGTERM
+// a drain bounded by -drain and the invariant check at exit.
+func serveUntilSignal(o options, d daemon, announce func(addr string)) error {
 	if o.debugAddr != "" {
-		stats.PublishExpvar("tcord", srv.Registry())
-		stats.PublishTrace("tcord", srv.Tracer())
+		stats.PublishExpvar("tcord", d.Registry())
+		stats.PublishTrace("tcord", d.Tracer())
 		addr, stop, err := stats.ServeDebug(o.debugAddr)
 		if err != nil {
 			return err
@@ -364,34 +358,26 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/debug/vars\n", addr)
 	}
 
-	addr, err := srv.Start(o.addr)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	addr, err := d.Start(o.addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tcord: %s\n", buildinfo.Get())
-	fmt.Fprintf(os.Stderr, "tcord: serving on http://%s\n", addr)
-	if o.tenants != nil {
-		fmt.Fprintf(os.Stderr, "tcord: %d tenants loaded from %s\n", len(o.tenants.Tenants()), o.tenantsPath)
-	}
-	if o.jobsDir != "" {
-		fmt.Fprintf(os.Stderr, "tcord: durable jobs under %s\n", o.jobsDir)
-	}
-	if o.chaos != "" {
-		fmt.Fprintf(os.Stderr, "tcord: CHAOS MODE armed (%s) — responses include injected faults\n", o.chaos)
-	}
+	announce(addr)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "tcord: received %v, draining (budget %v)\n", got, o.drain)
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := d.Shutdown(ctx); err != nil {
 		return fmt.Errorf("drain incomplete: %w", err)
 	}
-	if err := srv.CheckInvariants(); err != nil {
-		return fmt.Errorf("serving-layer invariants violated at shutdown: %w", err)
+	if err := d.CheckInvariants(); err != nil {
+		return fmt.Errorf("invariants violated at shutdown: %w", err)
 	}
 	return nil
 }

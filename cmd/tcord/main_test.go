@@ -3,11 +3,17 @@ package main
 import (
 	"context"
 	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"tcor/internal/cluster"
 	"tcor/internal/serve"
 	"tcor/internal/serve/client"
 )
@@ -189,5 +195,67 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatalf("serving-layer invariants at shutdown: %v", err)
+	}
+}
+
+// TestGatewayLifecycle runs gateway mode through the shared lifecycle: the
+// -debug server publishes the gateway's span trace, and SIGTERM drains it
+// with the invariants intact.
+func TestGatewayLifecycle(t *testing.T) {
+	shard := httptest.NewServer(serve.NewServer(serve.Options{}).Handler())
+	defer shard.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	debugAddr := ln.Addr().String()
+	ln.Close()
+	o, err := parseOptions([]string{"-addr", "127.0.0.1:0", "-debug", debugAddr,
+		"-log", "off", "-shards", shard.URL}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := cluster.NewGateway(gatewayOptions(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- serveUntilSignal(o, gw, func(addr string) { addrs <- addr }) }()
+	var addr string
+	select {
+	case addr = <-addrs:
+	case err := <-done:
+		t.Fatalf("gateway exited before serving: %v", err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/v1/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Get("http://" + debugAddr + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"http.request"`) {
+		t.Fatalf("debug trace answered %d %s, want the gateway's request span", resp.StatusCode, body)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("gateway drain: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("gateway did not drain on SIGTERM")
 	}
 }

@@ -16,38 +16,48 @@
 // and no shard-to-shard traffic; all routing intelligence lives in the
 // gateway.
 //
+// # One front door
+//
+// The gateway mounts the same serve.Front a daemon does: request IDs,
+// trace joining, panic isolation, metering, the JSON error envelope, the
+// strict body reader and the plumbing endpoints are one code path on
+// both tiers. Only the tier layers differ: the gateway lifts the tenant
+// credential into the context (the shard resolves it) and passes a
+// shard's own rejection through unchanged (all circuits open is 503
+// all_shards_unavailable, anything else 502 upstream_error). The
+// conformance contract follows: a one-shard gateway answers any request
+// to the shared API with a daemon's status, error code and Allow header,
+// and a 2xx with its bytes — FuzzGatewayConformance searches for
+// counterexamples.
+//
 // # Routing
 //
-// /v1/simulate goes to the key's owner. Two mechanisms bound tail
-// latency and ride over shard failure:
+// Every proxied call walks the ring through one primitive, route: owner
+// first, shards whose breaker is open skipped, each attempt a child span
+// under SiteProxy chaos with its outcome fed back to the breaker. A
+// transport error, 5xx or 429 fails over to the next shard; any other
+// 4xx is the request's own fault and passes through at once. Per call:
 //
-//   - Hedging: when the owner has not answered within the hedge delay
-//     (adaptive: the observed p99 of proxied simulate latency, floored
-//     at MinHedge), the gateway issues a second copy of the request to
-//     the next shard on the ring and serves whichever answers first.
-//     Simulations are deterministic and content-addressed, so duplicated
-//     work is wasted cycles at worst, never divergent answers.
+//	call        hedge  owner probe  404       walk
+//	simulate    yes    yes          —         ring
+//	arena       —      —            —         ring
+//	jobs        —      —            continue  ring
+//	sub-sweep   —      —            —         owner only
 //
-//   - Failover: when an attempt errors (transport failure, 5xx), the
-//     gateway walks the ring successors. Before a non-owner shard is
-//     allowed to simulate, the owner's cache is probed with a cache-only
-//     request (serve.CacheOnlyHeader): a shard whose compute path is
-//     broken can still answer from cache — bounded-stale included — and
-//     a dead one fails the probe fast.
-//
-// Each shard sits behind its own circuit breaker in the gateway; an open
-// breaker takes the shard out of the candidate order entirely, so a dead
-// shard costs one failed round before traffic routes around it. The
-// typed client under each shard adds bounded retries for transient
-// blips.
+// Hedging: when the owner has not answered within the hedge delay
+// (adaptive: the observed p99 of proxied simulate latency, floored at
+// MinHedge), a second copy goes to the next shard and the first answer
+// wins; simulations are deterministic, so the cost is wasted cycles,
+// never divergent answers. Owner probe: before a non-owner computes a
+// failed-over simulation, the owner's cache is asked (serve.
+// CacheOnlyHeader) — a shard with a broken compute path still answers
+// from cache, and a dead one fails fast. A job's 404 walks on because a
+// successor may hold a job submitted while its owner was down.
 //
 // /v1/sweep fans out as per-owner sub-sweeps (chunked to the shards'
-// sweep limit) and reassembles the runs in global item order. Run bodies
-// travel as raw bytes end to end, so the merged response is
-// byte-identical to a single node serving the whole sweep. A sub-sweep
-// that fails mid-flight — a shard killed at the worst moment — degrades
-// to item-by-item routing with full hedging and failover; callers see
-// nothing but latency.
+// sweep limit) and reassembles the runs in global item order; run bodies
+// travel as raw bytes, so the merge is byte-identical to one node. A
+// failed sub-sweep degrades to item-by-item simulate routing.
 //
 // # Observability
 //

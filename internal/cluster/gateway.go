@@ -1,21 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tcor/internal/buildinfo"
 	"tcor/internal/resilience"
 	"tcor/internal/serve"
 	"tcor/internal/serve/client"
@@ -113,15 +109,6 @@ func (o Options) withDefaults() Options {
 	if o.ShardSweepItems <= 0 {
 		o.ShardSweepItems = 64
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 10 * time.Minute
-	}
 	if o.Retry == nil {
 		o.Retry = &resilience.RetryPolicy{
 			MaxAttempts: 3,
@@ -146,12 +133,6 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
-	switch {
-	case o.TraceCapacity == 0:
-		o.TraceCapacity = 4096
-	case o.TraceCapacity < 0:
-		o.TraceCapacity = 0 // disabled; NewTracer returns the nil no-op
-	}
 	return o
 }
 
@@ -167,27 +148,19 @@ type shard struct {
 }
 
 // Gateway fronts a set of tcord shard daemons with the same public API a
-// single daemon serves. Simulations route to the shard owning their
-// content address; sweeps fan out as per-owner sub-sweeps and reassemble
-// in item order. Responses are byte-identical to a single node serving
-// the same request.
+// single daemon serves, through the same serve.Front a daemon mounts.
+// Simulations route to the shard owning their content address; sweeps fan
+// out as per-owner sub-sweeps and reassemble in item order. Responses are
+// byte-identical to a single node serving the same request.
 type Gateway struct {
-	opts   Options
-	ring   *Ring
-	shards []*shard
-	reg    *stats.Registry
-	logger *slog.Logger
-	chaos  *resilience.Injector
-	tracer *stats.Tracer // nil when TraceCapacity < 0
+	opts    Options
+	ring    *Ring
+	shards  []*shard
+	reg     *stats.Registry
+	tracer  *stats.Tracer // nil when TraceCapacity < 0
+	front   *serve.Front
+	handler http.Handler
 
-	mux      *http.ServeMux
-	httpSrv  *http.Server
-	draining atomic.Bool
-
-	requests   *stats.Counter
-	responses  [6]*stats.Counter
-	panics     *stats.Counter
-	latency    *stats.Histogram
 	proxyDur   *stats.Histogram // successful proxied /v1/simulate calls, ns
 	hedges     *stats.Counter
 	hedgeWins  *stats.Counter
@@ -211,12 +184,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 		opts:       opts,
 		ring:       ring,
 		reg:        reg,
-		logger:     opts.Logger,
-		chaos:      opts.Chaos,
-		tracer:     stats.NewTracer(opts.TraceCapacity),
-		requests:   reg.Counter("gw.requests"),
-		panics:     reg.Counter("gw.panics"),
-		latency:    reg.Histogram("gw.latency"),
 		proxyDur:   reg.Histogram("gw.proxy.duration"),
 		hedges:     reg.Counter("gw.hedges"),
 		hedgeWins:  reg.Counter("gw.hedge.wins"),
@@ -225,9 +192,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 		fallback:   reg.Counter("gw.sweep.fallbackItems"),
 		jobSubmits: reg.Counter("gw.jobs.submits"),
 		jobProxied: reg.Counter("gw.jobs.proxied"),
-	}
-	for c := 2; c <= 5; c++ {
-		g.responses[c] = reg.Counter("gw.responses." + strconv.Itoa(c) + "xx")
 	}
 	for i, name := range opts.Shards {
 		cfg := *opts.Breaker
@@ -240,27 +204,52 @@ func NewGateway(opts Options) (*Gateway, error) {
 			brk: resilience.NewBreaker(cfg),
 		})
 	}
-	g.tracer.MeterDropped(reg.Counter("trace.dropped"))
 	g.registerInvariants()
 
+	g.front = serve.NewFront(serve.FrontConfig{
+		Tier:           "gateway",
+		Category:       "cluster",
+		Metrics:        "gw",
+		Classes:        []int{2, 3, 4, 5},
+		Panics:         "gw.panics",
+		Registry:       reg,
+		Logger:         opts.Logger,
+		TraceCapacity:  opts.TraceCapacity,
+		MaxBodyBytes:   opts.MaxBodyBytes,
+		DefaultTimeout: opts.DefaultTimeout,
+		MaxTimeout:     opts.MaxTimeout,
+		// Lift the caller's tenant credential into the context: the
+		// per-shard client re-applies it on every attempt, so quota and
+		// cache accounting follow the caller through retries, hedges and
+		// failovers alike. The gateway never resolves the credential
+		// itself — an unknown key is the owning shard's 401 to give,
+		// passed through unchanged.
+		Enter: func(_ http.ResponseWriter, r *http.Request) (*http.Request, func() []slog.Attr) {
+			return r.WithContext(serve.ContextWithTenantKey(r.Context(), serve.TenantKeyFromRequest(r))), nil
+		},
+		Classify: classify,
+		Degraded: func() string {
+			for _, sh := range g.shards {
+				if sh.brk.State() != resilience.Open {
+					return ""
+				}
+			}
+			return "all shard circuits open"
+		},
+	})
+	g.tracer = g.front.Tracer()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/readyz", g.handleReadyz)
-	mux.HandleFunc("/v1/version", g.handleVersion)
-	mux.HandleFunc("/v1/benchmarks", g.handleBenchmarks)
-	mux.HandleFunc("/v1/stats", g.handleStats)
-	mux.HandleFunc("/v1/ring", g.handleRing)
+	g.front.Mount(mux)
+	mux.HandleFunc("/v1/ring", g.front.GetJSON(g.ringInfo))
 	mux.HandleFunc("/v1/simulate", g.handleSimulate)
 	mux.HandleFunc("/v1/sweep", g.handleSweep)
 	mux.HandleFunc("/v1/arena", g.handleArena)
-	mux.HandleFunc("/v1/jobs", g.handleJobs)
+	mux.HandleFunc("/v1/jobs", g.front.GetJSON(g.listJobs))
 	mux.HandleFunc("/v1/jobs/", g.handleJob)
 	mux.HandleFunc("/v1/cluster/trace/", g.handleClusterTrace)
 	mux.HandleFunc("/v1/cluster/metrics", g.handleClusterMetrics)
-	mux.HandleFunc("/v1/cluster/health", g.handleClusterHealth)
-	mux.Handle("/metrics", stats.MetricsHandler("tcord", reg))
-	mux.HandleFunc("/debug/trace", g.handleDebugTrace)
-	g.mux = mux
+	mux.HandleFunc("/v1/cluster/health", g.front.GetJSON(g.clusterHealth))
+	g.handler = g.front.Handler(mux)
 	return g, nil
 }
 
@@ -284,317 +273,42 @@ func (g *Gateway) registerInvariants() {
 // Registry returns the gateway's metric registry.
 func (g *Gateway) Registry() *stats.Registry { return g.reg }
 
+// Tracer returns the gateway's span tracer (nil when tracing is disabled).
+func (g *Gateway) Tracer() *stats.Tracer { return g.tracer }
+
 // Ring returns the gateway's placement ring.
 func (g *Gateway) Ring() *Ring { return g.ring }
 
 // CheckInvariants verifies the registry's registered invariants.
 func (g *Gateway) CheckInvariants() error { return g.reg.Check() }
 
-// Handler returns the gateway's HTTP handler with its middleware applied.
-func (g *Gateway) Handler() http.Handler { return g.middleware(g.mux) }
+// Handler returns the gateway's HTTP handler: its routes behind the shared
+// serve.Front.
+func (g *Gateway) Handler() http.Handler { return g.handler }
 
 // Start listens on addr (":0" picks a free port) and serves in the
 // background, returning the bound address. Pair with Shutdown.
-func (g *Gateway) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	g.httpSrv = &http.Server{Handler: g.Handler()}
-	go g.httpSrv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown
-	g.logger.Info("gateway listening", "addr", ln.Addr().String(), "shards", len(g.shards))
-	return ln.Addr().String(), nil
-}
+func (g *Gateway) Start(addr string) (string, error) { return g.front.Start(addr, g.handler) }
 
 // Shutdown drains the gateway: readiness flips to 503, new simulations
 // are refused, in-flight proxied requests run to completion.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.draining.Store(true)
-	if g.httpSrv == nil {
-		return nil
-	}
-	return g.httpSrv.Shutdown(ctx)
-}
+func (g *Gateway) Shutdown(ctx context.Context) error { return g.front.Shutdown(ctx) }
 
-// --- middleware and plumbing ---
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// middleware mints/echoes the request ID (proxied shard calls inherit it
-// through the context, so one ID is greppable across the gateway's and
-// the shard's access logs), recovers panics, and meters every response.
-func (g *Gateway) middleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		g.requests.Inc()
-
-		id := r.Header.Get(serve.RequestIDHeader)
-		if id == "" || len(id) > 128 {
-			id = serve.MintRequestID()
-		}
-		w.Header().Set(serve.RequestIDHeader, id)
-
-		// Root the request's trace (joining a caller's when a valid
-		// traceparent arrived) and echo the trace context on the response:
-		// the caller of a hedged sweep learns the one ID under which
-		// /v1/cluster/trace/<id> stitches every process's spans.
-		var sp *stats.Span
-		if parent, ok := stats.ExtractTraceparent(r.Header); ok {
-			sp = g.tracer.BeginRemote("http.request", "cluster", parent)
-		} else {
-			sp = g.tracer.Begin("http.request", "cluster")
-		}
-		stats.InjectTraceparent(w.Header(), sp.Context())
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		sp.SetAttr("requestId", id)
-
-		ctx := serve.ContextWithRequestID(r.Context(), id)
-		// Lift the caller's tenant credential into the context: the per-shard
-		// client re-applies it on every attempt, so quota and cache accounting
-		// follow the caller through retries, hedges and failovers alike. The
-		// gateway never resolves the credential itself — an unknown key is the
-		// owning shard's 401 to give, passed through unchanged.
-		ctx = serve.ContextWithTenantKey(ctx, serve.TenantKeyFromRequest(r))
-		ctx = stats.ContextWithTracer(ctx, g.tracer)
-		ctx = stats.ContextWithSpan(ctx, sp)
-		r = r.WithContext(ctx)
-
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				g.panics.Inc()
-				g.logger.Error("panic", "id", id, "path", r.URL.Path, "panic", fmt.Sprint(p))
-				if rec.status == 0 {
-					g.writeError(rec, &gwError{status: http.StatusInternalServerError,
-						code: "internal_panic", msg: "internal error"})
-				}
-			}
-			if rec.status == 0 {
-				rec.status = http.StatusOK
-			}
-			if c := g.responses[rec.status/100]; c != nil {
-				c.Inc()
-			}
-			dur := time.Since(t0)
-			g.latency.Observe(int64(dur))
-			sp.SetAttr("status", strconv.Itoa(rec.status))
-			sp.End()
-			g.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("dur", dur))
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
-
-// gwError is an error with an HTTP mapping, mirroring the shard daemon's
-// response shape so clients cannot tell a gateway rejection from a shard
-// one.
-type gwError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *gwError) Error() string { return e.msg }
-
-func (g *Gateway) writeError(w http.ResponseWriter, err error) {
-	var ge *gwError
+// classify is the gateway's error mapping inside the shared front: a
+// shard's own rejection passes through unchanged (status, code, message
+// and Retry-After hint), a ring with every candidate's circuit open is 503
+// "all_shards_unavailable", and any other failure is 502 "upstream_error".
+func classify(err error) error {
 	var ae *client.APIError
-	switch {
-	case errors.As(err, &ge):
-	case errors.As(err, &ae):
-		// Pass an upstream rejection through unchanged: same status,
-		// code, message and Retry-After hint the shard produced.
-		ge = &gwError{status: ae.Status, code: ae.Code, msg: ae.Message}
-		if ae.HasRetryAfter {
-			ge.retryAfter = ae.RetryAfter
-		}
-	case errors.Is(err, resilience.ErrOpen):
-		ge = &gwError{status: http.StatusServiceUnavailable, code: "all_shards_unavailable",
-			msg: "no shard available (circuits open); retry later"}
-		var oe *resilience.OpenError
-		if errors.As(err, &oe) {
-			ge.retryAfter = oe.RetryIn
-		}
-	case errors.Is(err, context.DeadlineExceeded):
-		ge = &gwError{status: http.StatusGatewayTimeout, code: "deadline_exceeded",
-			msg: "request deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		ge = &gwError{status: 499, code: "canceled", msg: "request canceled"}
-	default:
-		ge = &gwError{status: http.StatusBadGateway, code: "upstream_error", msg: err.Error()}
+	if errors.As(err, &ae) {
+		return serve.NewError(ae.Status, ae.Code, ae.Message, ae.RetryAfter) // zero without a hint
 	}
-	if ge.retryAfter > 0 {
-		secs := int((ge.retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	var oe *resilience.OpenError
+	if errors.As(err, &oe) {
+		return serve.NewError(http.StatusServiceUnavailable, "all_shards_unavailable",
+			"no shard available (circuits open); retry later", oe.RetryIn)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(ge.status)
-	json.NewEncoder(w).Encode(serve.ErrorBody{ //nolint:errcheck // best-effort error body
-		Error: serve.ErrorDetail{Code: ge.code, Message: ge.msg},
-	})
-}
-
-func (g *Gateway) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		g.logger.Error("encoding response", "err", err)
-	}
-}
-
-func badRequest(format string, args ...any) *gwError {
-	return &gwError{status: http.StatusBadRequest, code: "invalid_request",
-		msg: fmt.Sprintf(format, args...)}
-}
-
-// beginSim is the shared front door of the proxied simulation endpoints:
-// method check, drain check, bounded body read, strict decode. It returns
-// the raw body — the async job path forwards it to the owning shard
-// verbatim, so the shard's content-addressed JobID matches the gateway's
-// routing address — and false after writing the error response itself.
-func (g *Gateway) beginSim(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use " + http.MethodPost})
-		return nil, false
-	}
-	if g.draining.Load() {
-		g.writeError(w, &gwError{status: http.StatusServiceUnavailable,
-			code: "draining", msg: "gateway is draining; not accepting new simulations"})
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			g.writeError(w, &gwError{status: http.StatusRequestEntityTooLarge,
-				code: "body_too_large",
-				msg:  fmt.Sprintf("request body exceeds %d bytes", g.opts.MaxBodyBytes)})
-		} else {
-			g.writeError(w, badRequest("reading request body: %v", err))
-		}
-		return nil, false
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		g.writeError(w, badRequest("decoding request: %v", err))
-		return nil, false
-	}
-	return body, true
-}
-
-func (g *Gateway) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := g.opts.DefaultTimeout
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > g.opts.MaxTimeout {
-		d = g.opts.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// --- passthrough endpoints ---
-
-func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if g.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	for _, sh := range g.shards {
-		if sh.brk.State() != resilience.Open {
-			io.WriteString(w, "ready\n")
-			return
-		}
-	}
-	w.WriteHeader(http.StatusServiceUnavailable)
-	io.WriteString(w, "degraded: all shard circuits open\n")
-}
-
-func (g *Gateway) handleVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	g.writeJSON(w, buildinfo.Get())
-}
-
-func (g *Gateway) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	// serve.Benchmarks is shared with the shard handler, so the listing
-	// is byte-identical no matter which tier answers.
-	g.writeJSON(w, serve.Benchmarks())
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	g.writeJSON(w, g.reg.Snapshot())
-}
-
-// handleDebugTrace mirrors the shard daemons' /debug/trace on the gateway:
-// the whole buffer as Chrome trace_event JSON, or one trace's raw spans as
-// a stats.TraceSet with ?trace=<id>. The stitched cluster-wide view lives
-// at /v1/cluster/trace/<id>.
-func (g *Gateway) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	if q := r.URL.Query().Get("trace"); q != "" {
-		id, err := stats.ParseTraceID(q)
-		if err != nil {
-			g.writeError(w, badRequest("trace parameter: %v", err))
-			return
-		}
-		g.writeJSON(w, g.tracer.TraceSet("", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := g.tracer.WriteChromeTrace(w); err != nil {
-		g.logger.Error("trace export", "err", err)
-	}
+	return serve.NewError(http.StatusBadGateway, "upstream_error", err.Error(), 0)
 }
 
 // RingInfo is the body of GET /v1/ring: the cluster topology as the
@@ -610,12 +324,7 @@ type ShardInfo struct {
 	Breaker string `json:"breaker"`
 }
 
-func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
+func (g *Gateway) ringInfo(*http.Request) (any, error) {
 	info := RingInfo{VNodes: g.opts.VNodes}
 	for _, sh := range g.shards {
 		info.Shards = append(info.Shards, ShardInfo{
@@ -623,246 +332,83 @@ func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
 			Breaker: sh.brk.State().String(),
 		})
 	}
-	g.writeJSON(w, info)
+	return info, nil
 }
 
 // --- simulate routing ---
 
-// simResult is one successfully proxied simulation: the shard's exact
-// served bytes plus enough header state to reproduce them.
-type simResult struct {
-	body    []byte
-	outcome client.CacheOutcome
-	shard   *shard
-}
-
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SimulateRequest
-	if _, ok := g.beginSim(w, r, &req); !ok {
+	if _, ok := g.front.BeginSim(w, r, &req); !ok {
 		return
 	}
 	key, err := serve.CanonicalKey(req)
 	if err != nil {
-		g.writeError(w, badRequest("%v", err))
+		g.front.WriteError(w, err)
 		return
 	}
-	ctx, cancel := g.requestContext(r, req.TimeoutMs)
+	ctx, cancel := g.front.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	if r.Header.Get(serve.CacheOnlyHeader) != "" {
 		// A probe stays a probe: ask only the owner, never compute.
-		g.routeProbe(ctx, w, req, key)
+		owner := g.shards[g.ring.Owner(key)]
+		rp, ok, err := g.probe(ctx, owner, req)
+		switch {
+		case err != nil:
+			g.front.WriteError(w, err)
+		case !ok:
+			g.front.WriteError(w, serve.NewError(http.StatusNotFound, "cache_miss", "result not cached", 0))
+		default:
+			rp.write(w, owner)
+		}
 		return
 	}
-
-	res, err := g.fetchSim(ctx, req, key)
+	rp, sh, err := g.simulate(ctx, req, key)
 	if err != nil {
-		g.writeError(w, err)
+		g.front.WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tcord-Cache", string(res.outcome))
-	if res.outcome == "stale" {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
-	w.Header().Set(serve.ShardHeader, res.shard.name)
-	w.Write(res.body) //nolint:errcheck // client gone is its own problem
+	rp.write(w, sh)
 }
 
-// routeProbe forwards a cache-only probe to the key's owner.
-func (g *Gateway) routeProbe(ctx context.Context, w http.ResponseWriter, req serve.SimulateRequest, key string) {
-	owner := g.shards[g.ring.Owner(key)]
+// simulate serves one simulation through the ring: the owner first, hedged
+// onto the next shard when the owner is slower than the hedge delay,
+// failed over along the ring when an attempt errors. A failover to a
+// non-owner first probes the owner's cache: a shard whose compute path is
+// broken (breaker open, serving bounded-stale) still answers probes, and a
+// dead one fails them fast — either way a failover shard never recomputes a
+// result the cluster already holds.
+func (g *Gateway) simulate(ctx context.Context, req serve.SimulateRequest, key string) (reply, *shard, error) {
+	return route(g, ctx, key, policy[reply]{
+		span:  "gw.attempt",
+		hedge: true,
+		probe: func(ctx context.Context, owner *shard) (reply, bool) {
+			ctx, cancel := context.WithTimeout(ctx, g.opts.ProbeTimeout)
+			defer cancel()
+			rp, ok, _ := g.probe(ctx, owner, req)
+			return rp, ok
+		},
+	}, func(ctx context.Context, sh *shard) (reply, error) {
+		t0 := time.Now()
+		body, outcome, err := sh.client.SimulateRaw(ctx, req)
+		if err != nil {
+			return reply{}, err
+		}
+		g.proxyDur.ObserveSince(t0)
+		return reply{body: body, outcome: outcome}, nil
+	})
+}
+
+// probe asks owner for req's cached result only, as a gw.probe span.
+func (g *Gateway) probe(ctx context.Context, owner *shard, req serve.SimulateRequest) (reply, bool, error) {
 	sp, ctx := stats.StartSpan(ctx, "gw.probe", "cluster")
 	sp.SetAttr("shard", "shard-"+strconv.Itoa(owner.idx))
 	body, outcome, ok, err := owner.client.CacheProbe(ctx, req)
-	sp.SetAttr("hit", strconv.FormatBool(err == nil && ok))
+	ok = ok && err == nil
+	sp.SetAttr("hit", strconv.FormatBool(ok))
 	sp.End()
-	if err != nil {
-		g.writeError(w, err)
-		return
-	}
-	if !ok {
-		g.writeError(w, &gwError{status: http.StatusNotFound,
-			code: "cache_miss", msg: "result not cached"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tcord-Cache", string(outcome))
-	if outcome == "stale" {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
-	w.Header().Set(serve.ShardHeader, owner.name)
-	w.Write(body) //nolint:errcheck
-}
-
-// fetchSim serves one simulation through the ring: the owner first,
-// hedged onto the next shard when the owner is slower than the hedge
-// delay, failed over along the ring (with a peer cache probe back to the
-// owner) when an attempt errors. The first success wins; an attempt is
-// only counted against a shard's breaker when it actually reached it.
-func (g *Gateway) fetchSim(ctx context.Context, req serve.SimulateRequest, key string) (simResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	order := g.ring.Successors(key)
-	owner := g.shards[order[0]]
-
-	type attemptOut struct {
-		res    simResult
-		err    error
-		hedged bool
-	}
-	results := make(chan attemptOut, len(order))
-	next, pending, attempt := 0, 0, 0
-	var lastOpen error
-	// launch starts the next candidate whose breaker admits it; failover
-	// marks attempts triggered by a predecessor's failure (they may be
-	// answered from the owner's cache), hedged marks latency hedges.
-	launch := func(failover, hedged bool) bool {
-		for next < len(order) {
-			sh := g.shards[order[next]]
-			next++
-			done, err := sh.brk.Allow()
-			if err != nil {
-				lastOpen = err
-				continue
-			}
-			n := attempt
-			attempt++
-			pending++
-			go func() {
-				res, err := g.attemptSim(ctx, sh, owner, req, n, failover, hedged, done)
-				results <- attemptOut{res: res, err: err, hedged: hedged}
-			}()
-			return true
-		}
-		return false
-	}
-	if !launch(false, false) {
-		return simResult{}, lastOpen
-	}
-	var hedgeTimer <-chan time.Time
-	if d := g.hedgeDelay(); d > 0 && len(order) > 1 {
-		hedgeTimer = time.After(d)
-	}
-	var firstErr error
-	for {
-		select {
-		case o := <-results:
-			pending--
-			if o.err == nil {
-				if o.hedged {
-					g.hedgeWins.Inc()
-				}
-				return o.res, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if launch(true, false) {
-				g.failovers.Inc()
-				continue
-			}
-			if pending == 0 {
-				return simResult{}, firstErr
-			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if launch(false, true) {
-				g.hedges.Inc()
-			}
-		case <-ctx.Done():
-			return simResult{}, ctx.Err()
-		}
-	}
-}
-
-// attemptSim is one upstream try, recorded as a gw.attempt child span of
-// the request's root — the span whose identity the shard call carries in
-// its traceparent header, so the shard's own spans stitch under it. On a
-// failover attempt to a non-owner, the owner's cache is probed first: a
-// shard whose compute path is broken (breaker open, serving bounded-stale)
-// still answers probes, and a dead one fails them fast — either way a
-// failover shard never recomputes a result the cluster already holds.
-func (g *Gateway) attemptSim(ctx context.Context, sh, owner *shard, req serve.SimulateRequest, attempt int, failover, hedged bool, done func(error)) (simResult, error) {
-	sp, sctx := stats.StartSpan(ctx, "gw.attempt", "cluster")
-	sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-	sp.SetAttr("attempt", strconv.Itoa(attempt))
-	if failover {
-		sp.SetAttr("failover", "true")
-	}
-	if hedged {
-		sp.SetAttr("hedged", "true")
-	}
-	res, err := g.attemptSimSpanned(sctx, sh, owner, req, failover, sp, done)
-	sp.SetAttr("outcome", attemptOutcome(ctx, err))
-	sp.End()
-	return res, err
-}
-
-// attemptOutcome labels an attempt span's result. A hedge loser — its
-// sibling won and fetchSim canceled the race context — is "cancelled", the
-// shape the stitched export shows for work the gateway deliberately
-// abandoned; everything else is "ok", "deadline" or "error".
-func attemptOutcome(ctx context.Context, err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.Canceled), errors.Is(ctx.Err(), context.Canceled):
-		return "cancelled"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	default:
-		return "error"
-	}
-}
-
-func (g *Gateway) attemptSimSpanned(ctx context.Context, sh, owner *shard, req serve.SimulateRequest, failover bool, sp *stats.Span, done func(error)) (simResult, error) {
-	if err := g.chaos.Inject(ctx, resilience.SiteProxy); err != nil {
-		done(resilience.Ignore) // injected at the gateway, not the shard's fault
-		return simResult{}, err
-	}
-	if failover && sh != owner {
-		psp, pctx := stats.StartSpan(ctx, "gw.probe", "cluster")
-		psp.SetAttr("shard", "shard-"+strconv.Itoa(owner.idx))
-		pctx, pcancel := context.WithTimeout(pctx, g.opts.ProbeTimeout)
-		body, outcome, ok, err := owner.client.CacheProbe(pctx, req)
-		pcancel()
-		psp.SetAttr("hit", strconv.FormatBool(err == nil && ok))
-		psp.End()
-		if err == nil && ok {
-			g.probeHits.Inc()
-			sp.SetAttr("probeHit", "true")
-			done(resilience.Ignore) // sh itself was never called
-			return simResult{body: body, outcome: outcome, shard: owner}, nil
-		}
-	}
-	t0 := time.Now()
-	body, outcome, err := sh.client.SimulateRaw(ctx, req)
-	done(shardOutcome(err))
-	if err != nil {
-		return simResult{}, err
-	}
-	g.proxyDur.Observe(int64(time.Since(t0)))
-	return simResult{body: body, outcome: outcome, shard: sh}, nil
-}
-
-// shardOutcome classifies an upstream error for the shard's breaker: only
-// path failures (transport errors, 5xx) count against it. Rejections the
-// shard meant (4xx, including queue-full 429s) and cancellations say
-// nothing about its health.
-func shardOutcome(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return resilience.Ignore
-	}
-	var ae *client.APIError
-	if errors.As(err, &ae) && ae.Status < 500 {
-		return resilience.Ignore
-	}
-	return err
+	return reply{body: body, outcome: outcome}, ok, err
 }
 
 // hedgeDelay resolves the current hedge delay: fixed when configured,
@@ -897,129 +443,76 @@ func (g *Gateway) hedgeDelay() time.Duration {
 // deliberately is the wrong trade.
 func (g *Gateway) handleArena(w http.ResponseWriter, r *http.Request) {
 	var req serve.ArenaRequest
-	body, ok := g.beginSim(w, r, &req)
+	body, ok := g.front.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
 	_, key, err := serve.ArenaKey(req)
 	if err != nil {
-		g.writeError(w, badRequest("%v", err))
+		g.front.WriteError(w, err)
 		return
 	}
 	if serve.AsyncRequested(r) {
 		g.routeJobSubmit(w, r, serve.JobKindArena, body)
 		return
 	}
-	ctx, cancel := g.requestContext(r, req.TimeoutMs)
+	ctx, cancel := g.front.RequestContext(r, req.TimeoutMs)
 	defer cancel()
-
-	var firstErr error
-	for attempt, idx := range g.ring.Successors(key) {
-		sh := g.shards[idx]
-		done, allowErr := sh.brk.Allow()
-		if allowErr != nil {
-			if firstErr == nil {
-				firstErr = allowErr
-			}
-			continue
-		}
-		sp, actx := stats.StartSpan(ctx, "gw.attempt", "cluster")
-		sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		if attempt > 0 {
-			sp.SetAttr("failover", "true")
-		}
-		if err := g.chaos.Inject(actx, resilience.SiteProxy); err != nil {
-			done(resilience.Ignore) // injected at the gateway, not the shard's fault
-			sp.SetAttr("outcome", attemptOutcome(ctx, err))
-			sp.End()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		body, outcome, err := sh.client.ArenaRaw(actx, req)
-		done(shardOutcome(err))
-		sp.SetAttr("outcome", attemptOutcome(ctx, err))
-		sp.End()
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Tcord-Cache", string(outcome))
-			w.Header().Set(serve.ShardHeader, sh.name)
-			w.Write(body) //nolint:errcheck // client gone is its own problem
-			return
-		}
-		// A 4xx is the shard rejecting the request itself — every shard
-		// would; pass it through instead of burning the ring.
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests {
-			g.writeError(w, err)
-			return
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		g.failovers.Inc()
-		if ctx.Err() != nil {
-			break
-		}
+	rp, sh, err := route(g, ctx, key, policy[reply]{span: "gw.attempt"},
+		func(ctx context.Context, sh *shard) (reply, error) {
+			body, outcome, err := sh.client.ArenaRaw(ctx, req)
+			return reply{body: body, outcome: outcome}, err
+		})
+	if err != nil {
+		g.front.WriteError(w, err)
+		return
 	}
-	g.writeError(w, firstErr)
+	rp.write(w, sh)
 }
 
 // --- sweep fan-out ---
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req serve.SweepRequest
-	body, ok := g.beginSim(w, r, &req)
+	body, ok := g.front.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
-	if len(req.Items) == 0 {
-		g.writeError(w, badRequest("sweep needs at least one item"))
+	keys, timeoutMs, err := serve.ResolveSweep(req, g.opts.MaxSweepItems, "gateway", serve.CanonicalKey)
+	if err != nil {
+		g.front.WriteError(w, err)
 		return
-	}
-	if len(req.Items) > g.opts.MaxSweepItems {
-		g.writeError(w, badRequest("sweep has %d items; the gateway limit is %d",
-			len(req.Items), g.opts.MaxSweepItems))
-		return
-	}
-	keys := make([]string, len(req.Items))
-	var timeoutMs int
-	for i, item := range req.Items {
-		key, err := serve.CanonicalKey(item)
-		if err != nil {
-			g.writeError(w, badRequest("item %d: %v", i, err))
-			return
-		}
-		keys[i] = key
-		if item.TimeoutMs > timeoutMs {
-			timeoutMs = item.TimeoutMs
-		}
 	}
 	if serve.AsyncRequested(r) {
 		g.routeJobSubmit(w, r, serve.JobKindSweep, body)
 		return
 	}
-	ctx, cancel := g.requestContext(r, timeoutMs)
+	ctx, cancel := g.front.RequestContext(r, timeoutMs)
 	defer cancel()
 
 	runs, anyStale, err := g.fanOutSweep(ctx, req.Items, keys)
 	if err != nil {
-		g.writeError(w, err)
+		g.front.WriteError(w, err)
 		return
 	}
 	if anyStale {
 		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
-	g.writeJSON(w, serve.SweepResponse{Runs: runs})
+	g.front.WriteJSON(w, serve.SweepResponse{Runs: runs})
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
 // ShardSweepItems long, remembering each item's global index.
 type sweepChunk struct {
-	ownerIdx int
-	global   []int
+	key    string // any member's content address: they share the owner
+	global []int
+}
+
+// subSweep is a sub-sweep's answer: the runs in chunk order and whether
+// any of them was served stale.
+type subSweep struct {
+	runs  []json.RawMessage
+	stale bool
 }
 
 // fanOutSweep distributes items across their owning shards as sub-sweeps
@@ -1035,13 +528,10 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 		byOwner[o] = append(byOwner[o], i)
 	}
 	var chunks []sweepChunk
-	for o, globals := range byOwner {
+	for _, globals := range byOwner {
 		for len(globals) > 0 {
-			n := len(globals)
-			if n > g.opts.ShardSweepItems {
-				n = g.opts.ShardSweepItems
-			}
-			chunks = append(chunks, sweepChunk{ownerIdx: o, global: globals[:n]})
+			n := min(len(globals), g.opts.ShardSweepItems)
+			chunks = append(chunks, sweepChunk{key: keys[globals[0]], global: globals[:n]})
 			globals = globals[n:]
 		}
 	}
@@ -1059,16 +549,12 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 			for i, gi := range ch.global {
 				sub[i] = items[gi]
 			}
-			got, hdr, err := g.trySubSweep(ctx, g.shards[ch.ownerIdx], sub)
-			if err == nil && len(got) != len(sub) {
-				err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
-					g.shards[ch.ownerIdx].name, len(got), len(sub))
-			}
+			got, err := g.subSweep(ctx, ch.key, sub)
 			if err == nil {
 				for i, gi := range ch.global {
-					runs[gi] = got[i]
+					runs[gi] = got.runs[i]
 				}
-				if hdr.Get("Warning") != "" {
+				if got.stale {
 					anyStale.Store(true)
 				}
 				return
@@ -1078,7 +564,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 			// hedge/failover path.
 			for i, gi := range ch.global {
 				g.fallback.Inc()
-				res, err := g.fetchSim(ctx, sub[i], keys[gi])
+				rp, _, err := g.simulate(ctx, sub[i], keys[gi])
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -1090,8 +576,8 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 				// Simulate bodies end in the canonical newline; runs
 				// embed without it, exactly as the shard's own sweep
 				// handler trims.
-				runs[gi] = json.RawMessage(string(res.body[:len(res.body)-1]))
-				if res.outcome == "stale" {
+				runs[gi] = json.RawMessage(string(rp.body[:len(rp.body)-1]))
+				if rp.outcome == "stale" {
 					anyStale.Store(true)
 				}
 			}
@@ -1099,39 +585,26 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	}
 	wg.Wait()
 	if firstErr != nil {
-		var ge *gwError
-		var ae *client.APIError
-		if errors.As(firstErr, &ge) || errors.As(firstErr, &ae) {
-			return nil, false, firstErr
-		}
+		// The wrap keeps a shard's own rejection rendering unchanged.
 		return nil, false, fmt.Errorf("cluster: sweep failed: %w", firstErr)
 	}
 	return runs, anyStale.Load(), nil
 }
 
-// trySubSweep sends one sub-sweep to its owner under the shard's breaker,
-// as a gw.subsweep child span carrying the chunk size — the span whose
-// traceparent the shard's own sweep spans stitch under.
-func (g *Gateway) trySubSweep(ctx context.Context, sh *shard, items []serve.SimulateRequest) ([]json.RawMessage, http.Header, error) {
-	sp, sctx := stats.StartSpan(ctx, "gw.subsweep", "cluster")
-	sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-	sp.SetAttr("items", strconv.Itoa(len(items)))
-	got, hdr, err := g.trySubSweepSpanned(sctx, sh, items)
-	sp.SetAttr("outcome", attemptOutcome(ctx, err))
-	sp.End()
-	return got, hdr, err
-}
-
-func (g *Gateway) trySubSweepSpanned(ctx context.Context, sh *shard, items []serve.SimulateRequest) ([]json.RawMessage, http.Header, error) {
-	done, err := sh.brk.Allow()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := g.chaos.Inject(ctx, resilience.SiteProxy); err != nil {
-		done(resilience.Ignore)
-		return nil, nil, err
-	}
-	got, hdr, err := sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
-	done(shardOutcome(err))
-	return got, hdr, err
+// subSweep sends one sub-sweep to its owner alone, as a gw.subsweep span
+// carrying the chunk size — the span whose traceparent the shard's own
+// sweep spans stitch under. It never walks the ring: a failed sub-sweep
+// falls back item by item instead.
+func (g *Gateway) subSweep(ctx context.Context, key string, items []serve.SimulateRequest) (subSweep, error) {
+	got, _, err := route(g, ctx, key, policy[subSweep]{span: "gw.subsweep", ownerOnly: true},
+		func(ctx context.Context, sh *shard) (subSweep, error) {
+			stats.SpanFrom(ctx).SetAttr("items", strconv.Itoa(len(items)))
+			runs, hdr, err := sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
+			if err == nil && len(runs) != len(items) {
+				err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
+					sh.name, len(runs), len(items))
+			}
+			return subSweep{runs: runs, stale: hdr.Get("Warning") != ""}, err
+		})
+	return got, err
 }

@@ -2,17 +2,10 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
-	"tcor/internal/resilience"
 	"tcor/internal/serve"
-	"tcor/internal/serve/client"
-	"tcor/internal/stats"
 )
 
 // --- durable job routing ---
@@ -35,40 +28,32 @@ func (g *Gateway) routeJobSubmit(w http.ResponseWriter, r *http.Request, kind st
 	if kind == serve.JobKindArena {
 		path = "/v1/arena?async=1"
 	}
-	ctx, cancel := g.requestContext(r, 0)
+	ctx, cancel := g.front.RequestContext(r, 0)
 	defer cancel()
 	g.jobSubmits.Inc()
-	data, status, sh, err := g.jobAttempts(ctx, id, "gw.job.submit",
-		func(actx context.Context, sh *shard) ([]byte, int, error) {
-			return sh.client.SubmitJobRaw(actx, path, body)
+	rp, sh, err := route(g, ctx, id, policy[reply]{span: "gw.job.submit", next404: true},
+		func(ctx context.Context, sh *shard) (reply, error) {
+			data, status, err := sh.client.SubmitJobRaw(ctx, path, body)
+			return reply{body: data, status: status}, err
 		})
 	if err != nil {
-		g.writeError(w, err)
+		g.front.WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(serve.ShardHeader, sh.name)
-	w.WriteHeader(status)
-	w.Write(data) //nolint:errcheck // client gone is its own problem
+	rp.write(w, sh)
 }
 
-// handleJobs serves GET /v1/jobs at the gateway: the calling tenant's jobs
+// listJobs answers GET /v1/jobs at the gateway: the calling tenant's jobs
 // across every shard, merged oldest-first — the same ordering one shard's
 // own listing uses, extended cluster-wide.
-func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
-	ctx, cancel := g.requestContext(r, 0)
+func (g *Gateway) listJobs(r *http.Request) (any, error) {
+	ctx, cancel := g.front.RequestContext(r, 0)
 	defer cancel()
 	jobs, err := g.fanOutJobList(ctx)
 	if err != nil {
-		g.writeError(w, err)
-		return
+		return nil, err
 	}
-	g.writeJSON(w, serve.JobsResponse{Jobs: jobs})
+	return serve.JobsResponse{Jobs: jobs}, nil
 }
 
 // fanOutJobList collects every shard's tenant-scoped job listing. Any shard
@@ -76,29 +61,18 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 // jobs are gone". Duplicated IDs — the same body resubmitted while ring
 // candidates disagreed on a down owner — collapse to one row.
 func (g *Gateway) fanOutJobList(ctx context.Context) ([]serve.JobRecord, error) {
-	var mu sync.Mutex
-	var firstErr error
+	lists := make([][]serve.JobRecord, len(g.shards))
+	errs := g.eachShard(0, false, func(sh *shard) error {
+		jobs, err := sh.client.Jobs(ctx)
+		lists[sh.idx] = jobs
+		return err
+	})
 	var all []serve.JobRecord
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			jobs, err := sh.client.Jobs(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			all = append(all, jobs...)
-		}(sh)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, lists[i]...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].CreatedAtMs != all[j].CreatedAtMs {
@@ -125,110 +99,31 @@ func (g *Gateway) fanOutJobList(ctx context.Context) ([]serve.JobRecord, error) 
 // DELETE /v1/jobs/{id} to the shard holding the job — the ring owner first,
 // walking successors when a shard errors or does not know the ID.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
-	if id == "" {
-		g.writeError(w, &gwError{status: http.StatusNotFound,
-			code: "job_not_found", msg: "no such job"})
+	id, op, err := serve.JobRequest(r)
+	if err != nil {
+		g.front.WriteError(w, err)
 		return
 	}
-	var call func(context.Context, *shard) ([]byte, int, error)
-	switch {
-	case sub == "" && r.Method == http.MethodGet:
-		call = func(ctx context.Context, sh *shard) ([]byte, int, error) {
-			data, err := sh.client.JobRaw(ctx, id)
-			return data, http.StatusOK, err
-		}
-	case sub == "" && r.Method == http.MethodDelete:
-		call = func(ctx context.Context, sh *shard) ([]byte, int, error) {
-			data, err := sh.client.CancelJobRaw(ctx, id)
-			return data, http.StatusOK, err
-		}
-	case sub == "result" && r.Method == http.MethodGet:
-		call = func(ctx context.Context, sh *shard) ([]byte, int, error) {
-			data, err := sh.client.JobResult(ctx, id)
-			return data, http.StatusOK, err
-		}
-	default:
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET or DELETE"})
-		return
-	}
-	ctx, cancel := g.requestContext(r, 0)
+	ctx, cancel := g.front.RequestContext(r, 0)
 	defer cancel()
 	g.jobProxied.Inc()
-	data, status, sh, err := g.jobAttempts(ctx, id, "gw.job.proxy", call)
+	rp, sh, err := route(g, ctx, id, policy[reply]{span: "gw.job.proxy", next404: true},
+		func(ctx context.Context, sh *shard) (reply, error) {
+			var data []byte
+			var err error
+			switch op {
+			case serve.JobGet:
+				data, err = sh.client.JobRaw(ctx, id)
+			case serve.JobCancel:
+				data, err = sh.client.CancelJobRaw(ctx, id)
+			case serve.JobResult:
+				data, err = sh.client.JobResult(ctx, id)
+			}
+			return reply{body: data}, err
+		})
 	if err != nil {
-		g.writeError(w, err)
+		g.front.WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(serve.ShardHeader, sh.name)
-	w.WriteHeader(status)
-	w.Write(data) //nolint:errcheck // client gone is its own problem
-}
-
-// jobAttempts runs one job operation against the ring candidates for key in
-// owner-first order under each shard's breaker and the chaos injector. A
-// 404 walks to the next candidate — the job may live on a successor that
-// absorbed its submission while the owner was down — and only becomes the
-// caller's answer when no candidate knows the ID. Other 4xx answers (401
-// unknown tenant, 409 not-done) pass through from the first shard that
-// holds the job; 5xx and transport errors fail over.
-func (g *Gateway) jobAttempts(ctx context.Context, key, op string, call func(context.Context, *shard) ([]byte, int, error)) ([]byte, int, *shard, error) {
-	var firstErr, notFound error
-	for attempt, idx := range g.ring.Successors(key) {
-		sh := g.shards[idx]
-		done, allowErr := sh.brk.Allow()
-		if allowErr != nil {
-			if firstErr == nil {
-				firstErr = allowErr
-			}
-			continue
-		}
-		sp, actx := stats.StartSpan(ctx, op, "cluster")
-		sp.SetAttr("shard", "shard-"+strconv.Itoa(sh.idx))
-		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		if attempt > 0 {
-			sp.SetAttr("failover", "true")
-		}
-		if err := g.chaos.Inject(actx, resilience.SiteProxy); err != nil {
-			done(resilience.Ignore) // injected at the gateway, not the shard's fault
-			sp.SetAttr("outcome", attemptOutcome(ctx, err))
-			sp.End()
-			if firstErr == nil {
-				firstErr = err
-			}
-			g.failovers.Inc()
-			continue
-		}
-		data, status, err := call(actx, sh)
-		done(shardOutcome(err))
-		sp.SetAttr("outcome", attemptOutcome(ctx, err))
-		sp.End()
-		if err == nil {
-			return data, status, sh, nil
-		}
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status < 500 && ae.Status != http.StatusTooManyRequests {
-			if ae.Status == http.StatusNotFound {
-				if notFound == nil {
-					notFound = err
-				}
-				continue // not a failover: the shard is healthy, just not the holder
-			}
-			// The shard rejected the request itself — every shard would.
-			return nil, 0, nil, err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		g.failovers.Inc()
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	if notFound != nil {
-		return nil, 0, nil, notFound
-	}
-	return nil, 0, nil, firstErr
+	rp.write(w, sh)
 }

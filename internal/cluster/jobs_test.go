@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -337,5 +338,65 @@ func TestGatewayRollupCarriesTenantSeries(t *testing.T) {
 	}
 	if !strings.Contains(raw, `tcord_serve_tenant_alpha_requests{shard="fleet"} 21`) {
 		t.Fatalf("rollup is missing the fleet aggregate of the per-tenant series:\n%s", raw)
+	}
+}
+
+// TestGatewayTenantRejectionPassesThrough: a shard's 4xx is the request's
+// own fault — every shard would refuse it — so an unknown credential costs
+// exactly one upstream attempt and no failover, and the shard's 401 reaches
+// the caller byte for byte. A 429 is the exception: a full queue on one
+// shard says nothing about the next, so it still fails over.
+func TestGatewayTenantRejectionPassesThrough(t *testing.T) {
+	cases := []struct {
+		name          string
+		tenant        string
+		refusal       http.HandlerFunc // the owner's answer; successors give it to tenant callers
+		wantStatus    int
+		wantAttempts  int64 // 0 = not asserted
+		wantFailovers int64
+	}{
+		{"unknown tenant", "key-unknown", fail(http.StatusUnauthorized, "unknown_tenant"), http.StatusUnauthorized, 1, 0},
+		{"queue full", "", fail(http.StatusTooManyRequests, "queue_full"), http.StatusOK, 0, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := newFakeCluster(t, 3)
+			g, srv := newTestGateway(t, fc, singleAttempt())
+			order := ownerOf(t, g, testSim)
+			fc.setRole(order[0], tc.refusal)
+			for _, u := range order[1:] {
+				fc.setRole(u, func(w http.ResponseWriter, r *http.Request) {
+					if r.Header.Get(serve.TenantHeader) != "" {
+						tc.refusal(w, r) // every shard refuses an unknown credential
+						return
+					}
+					answer("{\"from\":\"successor\"}\n", "miss")(w, r)
+				})
+			}
+
+			resp := postSimAs(t, srv.URL, testSim, tc.tenant, "req-4xx")
+			body := readBody(t, resp)
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status %d %q, want %d", resp.StatusCode, body, tc.wantStatus)
+			}
+			snap := g.Registry().Snapshot()
+			if got := snap.Get("gw.failovers"); got != tc.wantFailovers {
+				t.Errorf("gw.failovers = %d, want %d", got, tc.wantFailovers)
+			}
+			if tc.wantAttempts > 0 {
+				var attempts int64
+				for i := range fc.urls {
+					attempts += snap.Get(fmt.Sprintf("gw.shard.%d.attempts", i))
+				}
+				if attempts != tc.wantAttempts {
+					t.Errorf("%d upstream attempts, want %d", attempts, tc.wantAttempts)
+				}
+				shardBody := httptest.NewRecorder()
+				tc.refusal(shardBody, httptest.NewRequest(http.MethodPost, "/v1/simulate", nil))
+				if body != shardBody.Body.String() {
+					t.Errorf("gateway body %q, want the shard's %q", body, shardBody.Body.String())
+				}
+			}
+		})
 	}
 }

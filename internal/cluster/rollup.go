@@ -8,10 +8,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"tcor/internal/resilience"
+	"tcor/internal/serve"
 	"tcor/internal/stats"
 )
 
@@ -168,76 +167,40 @@ func labelValue(labels, key string) string {
 	return ""
 }
 
-// shardScrape is one shard's scrape result.
-type shardScrape struct {
-	fams map[string]*promFamily
-	err  error
-}
-
-// scrapeShards pulls every shard's /metrics page, at most
-// metricsScrapeParallel at a time. A shard whose breaker is open is not
-// scraped (it is already considered down, and a scrape must never pollute
-// the breaker window routing decisions read).
-func (g *Gateway) scrapeShards(ctx context.Context) []shardScrape {
-	out := make([]shardScrape, len(g.shards))
-	sem := make(chan struct{}, metricsScrapeParallel)
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		if sh.brk.State() == resilience.Open {
-			out[sh.idx].err = fmt.Errorf("skipped: breaker open")
-			continue
+// scrapeShards pulls and parses every shard's /metrics page, at most
+// metricsScrapeParallel at a time, skipping shards whose breaker is open.
+// Both results are indexed by shard.
+func (g *Gateway) scrapeShards(ctx context.Context) ([]map[string]*promFamily, []error) {
+	fams := make([]map[string]*promFamily, len(g.shards))
+	errs := g.eachShard(metricsScrapeParallel, true, func(sh *shard) error {
+		text, err := sh.client.MetricsText(ctx)
+		if err != nil {
+			return err
 		}
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			text, err := sh.client.MetricsText(ctx)
-			if err != nil {
-				out[sh.idx].err = err
-				return
-			}
-			fams, err := parsePromText(string(text))
-			if err != nil {
-				out[sh.idx].err = err
-				return
-			}
-			out[sh.idx].fams = fams
-		}(sh)
-	}
-	wg.Wait()
-	return out
+		fams[sh.idx], err = parsePromText(string(text))
+		return err
+	})
+	return fams, errs
 }
 
 func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
+		g.front.WriteError(w, serve.MethodNotAllowed(http.MethodGet))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), MetricsScrapeTimeout)
 	defer cancel()
-	scrapes := g.scrapeShards(ctx)
-
-	partial := false
-	for _, sc := range scrapes {
-		if sc.err != nil {
-			partial = true
-		}
-	}
-	if partial {
-		w.Header().Set("Warning", `199 tcord "partial rollup: some shards unreachable"`)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	scrapes, errs := g.scrapeShards(ctx)
 
 	var b strings.Builder
 	// The per-shard availability flags lead the page: a reader (or CI)
 	// checks them before trusting the union below.
 	b.WriteString("# TYPE tcord_cluster_shard_up gauge\n")
-	for i, sc := range scrapes {
+	partial := false
+	for i, err := range errs {
 		up := 1
-		if sc.err != nil {
-			up = 0
+		if err != nil {
+			up, partial = 0, true
 		}
 		fmt.Fprintf(&b, "tcord_cluster_shard_up{shard=\"shard-%d\"} %d\n", i, up)
 	}
@@ -245,8 +208,8 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	// Union of family names across every reachable shard, sorted so the
 	// page is deterministic regardless of scrape completion order.
 	famTypes := make(map[string]string)
-	for _, sc := range scrapes {
-		for name, fam := range sc.fams {
+	for _, fams := range scrapes {
+		for name, fam := range fams {
 			famTypes[name] = fam.typ
 		}
 	}
@@ -261,7 +224,7 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
 		// Every shard's own series, shard-labeled, in ring order.
 		for i, sc := range scrapes {
-			fam := sc.fams[name]
+			fam := sc[name]
 			if fam == nil {
 				continue
 			}
@@ -280,13 +243,13 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			fleet := &stats.Histogram{}
 			ok := true
 			for _, sc := range scrapes {
-				fam := sc.fams[name]
+				fam := sc[name]
 				if fam == nil {
 					continue
 				}
 				snap, err := histogramFromFamily(fam)
 				if err != nil {
-					g.logger.Warn("rollup: unmergeable histogram", "family", name, "err", err)
+					g.opts.Logger.Warn("rollup: unmergeable histogram", "family", name, "err", err)
 					ok = false
 					break
 				}
@@ -298,7 +261,7 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		default:
 			var sum int64
 			for _, sc := range scrapes {
-				if fam := sc.fams[name]; fam != nil {
+				if fam := sc[name]; fam != nil {
 					for _, sm := range fam.samples {
 						sum += sm.value
 					}
@@ -307,6 +270,10 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%s{shard=\"fleet\"} %d\n", name, sum)
 		}
 	}
+	if partial {
+		w.Header().Set("Warning", `199 tcord "partial rollup: some shards unreachable"`)
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String())) //nolint:errcheck // client gone is its own problem
 }
 
@@ -330,47 +297,30 @@ type ShardHealth struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
-		return
-	}
+func (g *Gateway) clusterHealth(r *http.Request) (any, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), MetricsScrapeTimeout)
 	defer cancel()
 
 	health := ClusterHealth{
-		Draining: g.draining.Load(),
+		Draining: g.front.Draining(),
 		VNodes:   g.opts.VNodes,
 		Shards:   make([]ShardHealth, len(g.shards)),
 	}
-	sem := make(chan struct{}, metricsScrapeParallel)
-	var wg sync.WaitGroup
+	errs := g.eachShard(metricsScrapeParallel, true, func(sh *shard) error {
+		return sh.client.Ready(ctx)
+	})
+	ready := 0
 	for _, sh := range g.shards {
 		row := &health.Shards[sh.idx]
 		row.Name, row.Index, row.Breaker = sh.name, sh.idx, sh.brk.State().String()
-		if sh.brk.State() == resilience.Open {
-			row.Detail = "breaker open"
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shard, row *ShardHealth) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := sh.client.Ready(ctx); err != nil {
-				row.Detail = err.Error()
-				return
-			}
+		switch err := errs[sh.idx]; {
+		case err == nil:
 			row.Ready = true
-		}(sh, row)
-	}
-	wg.Wait()
-
-	ready := 0
-	for _, row := range health.Shards {
-		if row.Ready {
 			ready++
+		case err == errSkipped:
+			row.Detail = "breaker open"
+		default:
+			row.Detail = err.Error()
 		}
 	}
 	switch {
@@ -381,5 +331,5 @@ func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 	default:
 		health.Status = "down"
 	}
-	g.writeJSON(w, health)
+	return health, nil
 }

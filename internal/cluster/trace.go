@@ -6,10 +6,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"tcor/internal/resilience"
+	"tcor/internal/serve"
 	"tcor/internal/stats"
 )
 
@@ -69,14 +68,13 @@ type processSet struct {
 
 func (g *Gateway) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		g.writeError(w, &gwError{status: http.StatusMethodNotAllowed,
-			code: "method_not_allowed", msg: "use GET"})
+		g.front.WriteError(w, serve.MethodNotAllowed(http.MethodGet))
 		return
 	}
 	raw := strings.TrimPrefix(r.URL.Path, "/v1/cluster/trace/")
 	id, err := stats.ParseTraceID(raw)
 	if err != nil {
-		g.writeError(w, badRequest("trace ID: %v", err))
+		g.front.WriteError(w, serve.BadRequest("trace ID: %v", err))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), TraceCollectTimeout)
@@ -86,7 +84,7 @@ func (g *Gateway) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	if partial {
 		w.Header().Set("Warning", `199 tcord "partial trace: some shards unreachable"`)
 	}
-	g.writeJSON(w, doc)
+	g.front.WriteJSON(w, doc)
 }
 
 // stitchTrace collects every process's span set for id and merges them.
@@ -95,44 +93,33 @@ func (g *Gateway) stitchTrace(ctx context.Context, id stats.TraceID) (clusterTra
 	sets := make([]processSet, 1+len(g.shards))
 	sets[0] = processSet{pid: 0, name: "gateway", spans: g.tracer.TraceSpans(id)}
 
-	status := make([]string, len(g.shards))
-	var wg sync.WaitGroup
-	for _, sh := range g.shards {
-		sets[sh.idx+1] = processSet{pid: sh.idx + 1, name: "shard-" + strconv.Itoa(sh.idx)}
-		// Breaker-aware: a shard the router already considers down is not
-		// worth a fetch timeout, and a trace pull must never count against
-		// the breaker window that routing decisions read.
-		if sh.brk.State() == resilience.Open {
-			status[sh.idx] = "skipped: breaker open"
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			ts, err := sh.client.TraceSpans(ctx, id)
-			if err != nil {
-				status[sh.idx] = "error: " + err.Error()
-				return
-			}
-			status[sh.idx] = "ok"
-			sets[sh.idx+1].spans = ts.Spans
-		}(sh)
-	}
-	wg.Wait()
-
-	applySkewOffsets(sets)
-
+	// Breaker-aware: a shard the router already considers down is not
+	// worth a fetch timeout, and a trace pull must never count against the
+	// breaker window that routing decisions read.
+	errs := g.eachShard(0, true, func(sh *shard) error {
+		ts, err := sh.client.TraceSpans(ctx, id)
+		sets[sh.idx+1].spans = ts.Spans
+		return err
+	})
 	doc := clusterTraceDoc{
 		TraceEvents: []traceEvent{},
 		OtherData:   map[string]string{"traceId": id.String()},
 	}
 	partial := false
-	for i, st := range status {
-		doc.OtherData["shard-"+strconv.Itoa(i)] = st
-		if st != "ok" {
-			partial = true
+	for _, sh := range g.shards {
+		set := &sets[sh.idx+1]
+		set.pid, set.name = sh.idx+1, "shard-"+strconv.Itoa(sh.idx)
+		status := "ok"
+		switch err := errs[sh.idx]; {
+		case err == errSkipped:
+			status = err.Error()
+		case err != nil:
+			status = "error: " + err.Error()
 		}
+		doc.OtherData[set.name] = status
+		partial = partial || status != "ok"
 	}
+	applySkewOffsets(sets)
 
 	// A common origin keeps timestamps small and two stitches of the same
 	// span sets byte-identical: everything is relative to the earliest

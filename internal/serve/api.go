@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -64,6 +63,29 @@ type SimulateRequest struct {
 // order regardless of completion order.
 type SweepRequest struct {
 	Items []SimulateRequest `json:"items"`
+}
+
+// ResolveSweep validates a sweep against a tier's item limit and resolves
+// every item with resolve. It returns the resolved items and the longest
+// item timeout, which bounds the whole sweep.
+func ResolveSweep[T any](req SweepRequest, maxItems int, tier string, resolve func(SimulateRequest) (T, error)) ([]T, int, error) {
+	if len(req.Items) == 0 {
+		return nil, 0, BadRequest("sweep needs at least one item")
+	}
+	if len(req.Items) > maxItems {
+		return nil, 0, BadRequest("sweep has %d items; the %s limit is %d", len(req.Items), tier, maxItems)
+	}
+	out := make([]T, len(req.Items))
+	timeoutMs := 0
+	for i, item := range req.Items {
+		v, err := resolve(item)
+		if err != nil {
+			return nil, 0, BadRequest("item %d: %v", i, err)
+		}
+		out[i] = v
+		timeoutMs = max(timeoutMs, item.TimeoutMs)
+	}
+	return out, timeoutMs, nil
 }
 
 // SweepResponse is the body of a successful sweep. Each element is the
@@ -142,24 +164,22 @@ type ErrorDetail struct {
 	Message string `json:"message"`
 }
 
-// apiError is an error with an HTTP mapping. Handlers return it from the
-// resolve/run path; writeError renders anything else as a 500.
+// apiError is an error with an HTTP mapping (see NewError, BadRequest and
+// MethodNotAllowed). Handlers return it from the resolve/run path;
+// Front.WriteError renders it.
 type apiError struct {
 	status int
 	code   string
 	msg    string
 	// retryAfter, when positive, becomes the response's Retry-After header
-	// (rounded up to whole seconds). 429s without one get the server's
-	// load-derived estimate.
+	// (rounded up to whole seconds). 429s without one get the tier's
+	// estimate.
 	retryAfter time.Duration
+	// allow, when set, becomes the response's Allow header (405s).
+	allow string
 }
 
 func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: "invalid_request",
-		msg: fmt.Sprintf(format, args...)}
-}
 
 // errQueueFull is returned by admission when the wait queue is saturated;
 // the handler maps it to 429 + Retry-After.
@@ -228,34 +248,34 @@ func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
 	var j job
 	switch {
 	case req.Benchmark != "" && len(req.Spec) > 0:
-		return j, badRequest("benchmark and spec are mutually exclusive")
+		return j, BadRequest("benchmark and spec are mutually exclusive")
 	case req.Benchmark != "":
 		spec, err := workload.ByAlias(req.Benchmark)
 		if err != nil {
-			return j, badRequest("%v", err)
+			return j, BadRequest("%v", err)
 		}
 		j.spec = spec
 	case len(req.Spec) > 0:
 		spec, err := workload.ParseSpec(req.Spec)
 		if err != nil {
-			return j, badRequest("%v", err)
+			return j, BadRequest("%v", err)
 		}
 		j.spec = spec
 	default:
-		return j, badRequest("one of benchmark or spec is required")
+		return j, BadRequest("one of benchmark or spec is required")
 	}
 
 	if req.Frames < 0 {
-		return j, badRequest("frames must be non-negative, got %d", req.Frames)
+		return j, BadRequest("frames must be non-negative, got %d", req.Frames)
 	}
 	if req.Frames > 0 {
 		j.spec.Frames = req.Frames
 	}
 	if max := lim.maxFrames; max > 0 && j.spec.Frames > max {
-		return j, badRequest("frames %d exceeds the server limit %d", j.spec.Frames, max)
+		return j, BadRequest("frames %d exceeds the server limit %d", j.spec.Frames, max)
 	}
 	if req.TimeoutMs < 0 {
-		return j, badRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
+		return j, BadRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
 	}
 
 	sizeKB := req.TileCacheKB
@@ -263,7 +283,7 @@ func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
 		sizeKB = 64
 	}
 	if sizeKB < 0 {
-		return j, badRequest("tileCacheKB must be positive, got %d", req.TileCacheKB)
+		return j, BadRequest("tileCacheKB must be positive, got %d", req.TileCacheKB)
 	}
 	name := req.Config
 	if name == "" {
@@ -277,12 +297,12 @@ func resolveRequest(req SimulateRequest, lim resolveLimits) (job, error) {
 	case ConfigTCORNoL2:
 		j.cfg = gpu.TCORNoL2(sizeKB * 1024)
 	default:
-		return j, badRequest("unknown config %q (baseline, tcor, tcor-nol2)", name)
+		return j, BadRequest("unknown config %q (baseline, tcor, tcor-nol2)", name)
 	}
 	j.cfgName = name
 	j.cfg.TileParallel = lim.tileParallel
 	if err := j.cfg.Validate(); err != nil {
-		return j, badRequest("%v", err)
+		return j, BadRequest("%v", err)
 	}
 	j.check = req.Check
 	j.key = contentKey(j.spec, j.cfgName, j.cfg)
@@ -337,10 +357,10 @@ func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return badRequest("decoding request: %v", err)
+		return BadRequest("decoding request: %v", err)
 	}
 	if dec.More() {
-		return badRequest("request body has trailing content")
+		return BadRequest("request body has trailing content")
 	}
 	return nil
 }

@@ -48,7 +48,7 @@ const maxArenaCurveSizes = 32
 // are 400s with a precise message.
 func arenaOptions(req ArenaRequest) (arena.Options, error) {
 	if req.TimeoutMs < 0 {
-		return arena.Options{}, badRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
+		return arena.Options{}, BadRequest("timeoutMs must be non-negative, got %d", req.TimeoutMs)
 	}
 	opts, err := arena.Normalize(arena.Options{
 		Policies:     req.Policies,
@@ -59,10 +59,10 @@ func arenaOptions(req ArenaRequest) (arena.Options, error) {
 		CurveSizesKB: req.CurveSizesKB,
 	})
 	if err != nil {
-		return opts, badRequest("%v", err)
+		return opts, BadRequest("%v", err)
 	}
 	if len(opts.CurveSizesKB) > maxArenaCurveSizes {
-		return opts, badRequest("curve grid has %d sizes; the server limit is %d",
+		return opts, BadRequest("curve grid has %d sizes; the server limit is %d",
 			len(opts.CurveSizesKB), maxArenaCurveSizes)
 	}
 	return opts, nil
@@ -103,58 +103,38 @@ func (s *Server) arenaRunner() *experiments.Runner {
 // slot and concurrent identical races collapse into one.
 func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	var req ArenaRequest
-	body, ok := s.beginSim(w, r, &req)
+	body, ok := s.front.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
 	opts, key, err := ArenaKey(req)
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
 	if AsyncRequested(r) {
 		s.submitJob(w, r, JobKindArena, body)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := s.front.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	val, how, err := s.arenaCache.get(ctx, key, nil, func() (cached, error) {
-		return s.computeArena(ctx, opts)
+		// One gate slot for the whole race: it parallelizes internally
+		// across the worker count, the way TileParallel parallelizes one
+		// simulation.
+		return s.admitted(ctx, func() (cached, error) { return s.raceArena(ctx, s.arenaRunner(), opts) })
 	})
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tcord-Cache", string(how))
-	w.Write(val.body) //nolint:errcheck // client gone is its own problem
-}
-
-// computeArena is the arena cache-miss leader's work: one admission-gate
-// slot for the whole race (the race parallelizes internally across the
-// worker count, the way TileParallel parallelizes one simulation), then the
-// canonical report encoding. Per-policy counters meter how many cells each
-// roster member raced.
-func (s *Server) computeArena(ctx context.Context, opts arena.Options) (cached, error) {
-	rel, err := s.gate.acquire(ctx)
-	if err != nil {
-		if err == errQueueFull {
-			qe := *errQueueFull
-			qe.retryAfter = s.tenantRetryAfter(s.tenantFrom(ctx))
-			return cached{}, &qe
-		}
-		return cached{}, err
-	}
-	defer rel()
-	if err := ctx.Err(); err != nil {
-		return cached{}, err
-	}
-	return s.raceArena(ctx, s.arenaRunner(), opts)
+	writeResult(w, how, val.body)
 }
 
 // raceArena runs one arena race on the given runner and encodes the
-// canonical report. Sync requests pass the shared memoized runner;
+// canonical report; per-policy counters meter how many cells each roster
+// member raced. Sync requests pass the shared memoized runner;
 // background arena jobs pass a private runner wired to the job's
 // checkpoint journal so the race resumes across restarts.
 func (s *Server) raceArena(ctx context.Context, runner *experiments.Runner, opts arena.Options) (cached, error) {

@@ -212,7 +212,7 @@ func (m *jobManager) countCells(kind string, body []byte) (int, error) {
 		}
 		return len(opts.Policies) * len(opts.Benchmarks) * (1 + len(opts.CurveSizesKB)), nil
 	}
-	return 0, badRequest("unknown job kind %q", kind)
+	return 0, BadRequest("unknown job kind %q", kind)
 }
 
 // start hands the entry to the executor pool.
@@ -261,10 +261,10 @@ func (m *jobManager) run(e *jobEntry) {
 		tenant = m.s.tenants.Default() // roster changed across a restart
 	}
 	ctx = contextWithTenant(ctx, tenant)
-	sp := m.s.tracer.Begin("job."+e.rec.Kind, "serve")
+	sp := m.s.front.Tracer().Begin("job."+e.rec.Kind, "serve")
 	sp.SetAttr("job", e.rec.ID)
 	sp.SetAttr("tenant", tenant.Name)
-	ctx = stats.ContextWithTracer(ctx, m.s.tracer)
+	ctx = stats.ContextWithTracer(ctx, m.s.front.Tracer())
 	ctx = stats.ContextWithSpan(ctx, sp)
 	defer sp.End()
 
@@ -347,7 +347,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 	for i, item := range req.Items {
 		j, err := m.s.resolve(item)
 		if err != nil {
-			return nil, badRequest("item %d: %v", i, err)
+			return nil, BadRequest("item %d: %v", i, err)
 		}
 		jobs[i] = j
 	}
@@ -511,31 +511,29 @@ func (m *jobManager) result(id, tenantName string) ([]byte, error) {
 
 // --- HTTP surface ---
 
-// jobsReady gates the job endpoints on a live store, answering the
-// appropriate error itself when there is none.
-func (s *Server) jobsReady(w http.ResponseWriter) bool {
+// jobsUnavailable gates the job endpoints on a live store: nil when there
+// is one, else the error to answer.
+func (s *Server) jobsUnavailable() error {
 	if s.jobsErr != nil {
-		s.writeError(w, &apiError{status: http.StatusServiceUnavailable,
-			code: "jobs_unavailable", msg: s.jobsErr.Error()})
-		return false
+		return NewError(http.StatusServiceUnavailable, "jobs_unavailable", s.jobsErr.Error(), 0)
 	}
 	if s.jobs == nil {
-		s.writeError(w, badRequest("async jobs need the daemon started with a jobs directory (-jobs-dir)"))
-		return false
+		return BadRequest("async jobs need the daemon started with a jobs directory (-jobs-dir)")
 	}
-	return true
+	return nil
 }
 
 // submitJob answers an ?async=1 submission: 202 with the new job record, or
 // 200 with the existing one when the identical submission already landed.
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, body []byte) {
-	if !s.jobsReady(w) {
+	if err := s.jobsUnavailable(); err != nil {
+		s.front.WriteError(w, err)
 		return
 	}
 	t := s.tenantFrom(r.Context())
 	rec, created, err := s.jobs.submit(kind, TenantKeyFromRequest(r), t, body)
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
 	status := http.StatusOK
@@ -547,56 +545,78 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, kind string, 
 	json.NewEncoder(w).Encode(JobResponse{Job: rec}) //nolint:errcheck // client gone is its own problem
 }
 
-// handleJobs serves GET /v1/jobs: the calling tenant's jobs.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
+// listJobs answers GET /v1/jobs: the calling tenant's jobs.
+func (s *Server) listJobs(r *http.Request) (any, error) {
+	if err := s.jobsUnavailable(); err != nil {
+		return nil, err
 	}
-	if !s.jobsReady(w) {
-		return
+	return JobsResponse{Jobs: s.jobs.list(s.tenantFrom(r.Context()).Name)}, nil
+}
+
+// Job operations a /v1/jobs/{id}[/result] request can name.
+const (
+	JobGet    = "get"
+	JobCancel = "cancel"
+	JobResult = "result"
+)
+
+// JobRequest splits a /v1/jobs/{id}[/result] request into the job ID and
+// the operation its method and path name. A missing ID is a 404 and any
+// other method or sub-path a 405, checked before anything else: a daemon
+// and a gateway refuse a malformed job call alike, with or without a job
+// store behind them.
+func JobRequest(r *http.Request) (id, op string, err error) {
+	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
+	switch {
+	case id == "":
+		return "", "", jobNotFound
+	case sub == "" && r.Method == http.MethodGet:
+		op = JobGet
+	case sub == "" && r.Method == http.MethodDelete:
+		op = JobCancel
+	case sub == "result" && r.Method == http.MethodGet:
+		op = JobResult
+	default:
+		return "", "", MethodNotAllowed(http.MethodGet, http.MethodDelete)
 	}
-	t := s.tenantFrom(r.Context())
-	s.writeJSON(w, JobsResponse{Jobs: s.jobs.list(t.Name)})
+	return id, op, nil
 }
 
 // handleJob serves GET /v1/jobs/{id}, GET /v1/jobs/{id}/result and
 // DELETE /v1/jobs/{id}, all tenant-scoped: another tenant's job — or a
 // malformed path — is uniformly a 404.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/")
-	if id == "" {
-		s.writeError(w, jobNotFound)
-		return
+	id, op, err := JobRequest(r)
+	if err == nil {
+		err = s.jobsUnavailable()
 	}
-	if !s.jobsReady(w) {
+	if err != nil {
+		s.front.WriteError(w, err)
 		return
 	}
 	t := s.tenantFrom(r.Context())
-	switch {
-	case sub == "" && r.Method == http.MethodGet:
+	switch op {
+	case JobGet:
 		rec, ok := s.jobs.get(id, t.Name)
 		if !ok {
-			s.writeError(w, jobNotFound)
+			s.front.WriteError(w, jobNotFound)
 			return
 		}
-		s.writeJSON(w, JobResponse{Job: rec})
-	case sub == "" && r.Method == http.MethodDelete:
+		s.front.WriteJSON(w, JobResponse{Job: rec})
+	case JobCancel:
 		if err := s.jobs.cancelJob(id, t.Name); err != nil {
-			s.writeError(w, err)
+			s.front.WriteError(w, err)
 			return
 		}
 		rec, _ := s.jobs.get(id, t.Name)
-		s.writeJSON(w, JobResponse{Job: rec})
-	case sub == "result" && r.Method == http.MethodGet:
+		s.front.WriteJSON(w, JobResponse{Job: rec})
+	case JobResult:
 		body, err := s.jobs.result(id, t.Name)
 		if err != nil {
-			s.writeError(w, err)
+			s.front.WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body) //nolint:errcheck // client gone is its own problem
-	default:
-		s.writeError(w, methodNotAllowed("GET or DELETE"))
 	}
 }

@@ -115,6 +115,22 @@ func TestAsyncWithoutJobsDir(t *testing.T) {
 	}
 }
 
+// TestJobMethodCheckedFirst: a malformed job call is refused for what it
+// is — 405 with an Allow header — before the missing job store is
+// mentioned, the same answer a gateway gives.
+func TestJobMethodCheckedFirst(t *testing.T) {
+	s := NewServer(Options{})
+	rec := postJSON(s.Handler(), "/v1/jobs/abc", "")
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, DELETE" {
+		t.Fatalf("POST /v1/jobs/abc without JobsDir: %d Allow=%q %s",
+			rec.Code, rec.Header().Get("Allow"), rec.Body)
+	}
+	if rec := getPath(s.Handler(), "/v1/jobs/abc"); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "jobs directory") {
+		t.Fatalf("GET /v1/jobs/abc without JobsDir: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestJobSurvivesRestart is the crash-resume drill at the package level: run
 // one cell of a two-cell sweep, stop the server the hard way (Shutdown
 // persists nothing — the on-disk state is exactly what a SIGKILL leaves:
@@ -254,6 +270,9 @@ func TestJobCancel(t *testing.T) {
 // empty listings.
 func TestJobTenantScoping(t *testing.T) {
 	s := NewServer(Options{JobsDir: t.TempDir(), Tenants: testTenants(t)})
+	// The last submission is still running when the test returns; stop it
+	// before the temp dir is removed under it.
+	t.Cleanup(func() { s.Shutdown(context.Background()) }) //nolint:errcheck // no listener to drain
 	s.simulate = fastSim
 	h := s.Handler()
 

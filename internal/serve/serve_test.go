@@ -276,7 +276,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	waitFor(t, func() bool { return s.draining.Load() })
+	waitFor(t, func() bool { return s.front.Draining() })
 	select {
 	case err := <-shutdownDone:
 		t.Fatalf("Shutdown returned (%v) while a simulation was in flight", err)

@@ -5,18 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tcor/internal/buildinfo"
 	"tcor/internal/experiments"
 	"tcor/internal/geom"
 	"tcor/internal/gpu"
@@ -55,12 +51,8 @@ type Options struct {
 	Registry *stats.Registry
 	// Logger receives the structured access log (one line per request with
 	// request ID, queue wait, cache disposition, status and duration) and
-	// lifecycle events. Nil falls back to a bridge over Logf when that is
-	// set, else logs are discarded.
+	// lifecycle events (nil = discard).
 	Logger *slog.Logger
-	// Logf, when non-nil, receives one line per lifecycle event. Deprecated
-	// in favor of Logger; kept so existing callers keep their output.
-	Logf func(format string, args ...any)
 	// TraceCapacity bounds the in-memory span trace behind GET /debug/trace
 	// (0 = 4096 spans, negative = tracing disabled). Once full, further
 	// spans are dropped, never blocking a request.
@@ -127,15 +119,6 @@ func (o Options) withDefaults() Options {
 	case o.CacheEntries < 0:
 		o.CacheEntries = 0 // unbounded
 	}
-	if o.DefaultTimeout == 0 {
-		o.DefaultTimeout = 60 * time.Second
-	}
-	if o.MaxTimeout == 0 {
-		o.MaxTimeout = 10 * time.Minute
-	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
 	if o.MaxFrames == 0 {
 		o.MaxFrames = 32
 	}
@@ -146,17 +129,7 @@ func (o Options) withDefaults() Options {
 		o.Registry = stats.NewRegistry()
 	}
 	if o.Logger == nil {
-		if o.Logf != nil {
-			o.Logger = slog.New(logfHandler{logf: o.Logf})
-		} else {
-			o.Logger = slog.New(slog.DiscardHandler)
-		}
-	}
-	switch {
-	case o.TraceCapacity == 0:
-		o.TraceCapacity = 4096
-	case o.TraceCapacity < 0:
-		o.TraceCapacity = 0 // disabled; NewTracer returns the nil no-op
+		o.Logger = slog.New(slog.DiscardHandler)
 	}
 	if o.Clock == nil {
 		o.Clock = resilience.Wall()
@@ -173,29 +146,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// logfHandler adapts a legacy Logf sink into a slog.Handler: message first,
-// then space-separated key=value attrs. It keeps pre-slog callers readable
-// without duplicating log paths.
-type logfHandler struct {
-	logf func(format string, args ...any)
-}
-
-func (h logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h logfHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
-func (h logfHandler) WithGroup(string) slog.Handler      { return h }
-
 // Server is the simulation service: an http.Handler plus the admission
 // gate, result cache and lifecycle state behind it. Create with NewServer;
 // either mount Handler on an existing server or call Start/Shutdown.
@@ -204,18 +154,15 @@ type Server struct {
 	reg     *stats.Registry
 	gate    *gate
 	cache   *resultCache
-	mux     *http.ServeMux
+	front   *Front
+	handler http.Handler // the mux behind the front and the daemon's layers
 	logger  *slog.Logger
-	tracer  *stats.Tracer // nil when TraceCapacity < 0
 	chaos   *resilience.Injector
 	brk     *resilience.Breaker // nil when Options.Breaker is nil
 	clock   resilience.Clock
 	tenants *TenantSet
 	jobs    *jobManager // nil when JobsDir is empty
 	jobsErr error       // a failed job-store init; async requests answer it
-
-	draining atomic.Bool
-	httpSrv  *http.Server
 
 	// The arena endpoint's state: its own content-addressed report cache
 	// (never sharing entries with the simulate cache — the value shapes
@@ -224,12 +171,8 @@ type Server struct {
 	arenaOnce  sync.Once
 	arenaR     *experiments.Runner
 
-	requests  *stats.Counter
-	responses map[int]*stats.Counter // status class -> counter (2,4,5)
-	panics    *stats.Counter
 	simOK     *stats.Counter
 	simFailed *stats.Counter
-	latency   *stats.Histogram // whole-request wall time, ns
 	simDur    *stats.Histogram // simulation compute time, ns
 	encodeDur *stats.Histogram // result-encoding time, ns
 
@@ -261,21 +204,12 @@ func NewServer(opts Options) *Server {
 		// stay fresh forever under the same LRU bound as the simulate cache.
 		arenaCache: newResultCache(opts.CacheEntries, 0, 0, opts.Clock, opts.Tenants, reg, "serve.arena.cache"),
 		logger:     opts.Logger,
-		tracer:     stats.NewTracer(opts.TraceCapacity),
 		chaos:      opts.Chaos,
 		clock:      opts.Clock,
 		tenants:    opts.Tenants,
 
-		requests: reg.Counter("serve.http.requests"),
-		responses: map[int]*stats.Counter{
-			2: reg.Counter("serve.http.responses.2xx"),
-			4: reg.Counter("serve.http.responses.4xx"),
-			5: reg.Counter("serve.http.responses.5xx"),
-		},
-		panics:    reg.Counter("serve.panics"),
 		simOK:     reg.Counter("serve.simulations.completed"),
 		simFailed: reg.Counter("serve.simulations.failed"),
-		latency:   reg.Histogram("serve.http.latency"),
 		simDur:    reg.Histogram("serve.sim.duration"),
 		encodeDur: reg.Histogram("serve.encode.duration"),
 
@@ -290,6 +224,28 @@ func NewServer(opts Options) *Server {
 			return gpu.Simulate(scene, cfg)
 		},
 	}
+	s.front = NewFront(FrontConfig{
+		Tier:           "server",
+		Category:       "serve",
+		Metrics:        "serve.http",
+		Classes:        []int{2, 4, 5},
+		Panics:         "serve.panics",
+		Registry:       reg,
+		Logger:         opts.Logger,
+		TraceCapacity:  opts.TraceCapacity,
+		MaxBodyBytes:   opts.MaxBodyBytes,
+		DefaultTimeout: opts.DefaultTimeout,
+		MaxTimeout:     opts.MaxTimeout,
+		Enter:          s.enter,
+		Classify:       classifyInjected,
+		RetryAfter:     s.retryAfterEstimate,
+		Degraded: func() string {
+			if s.breakerOpen() {
+				return "circuit open"
+			}
+			return ""
+		},
+	})
 	if opts.Breaker != nil {
 		// Chain the caller's observer behind the server's metering: the
 		// state gauge and transition counter move on every change, and the
@@ -309,9 +265,6 @@ func NewServer(opts Options) *Server {
 		}
 		s.brk = resilience.NewBreaker(cfg)
 	}
-	// Buffer overflow in the bounded tracer is silent at the Tracer level;
-	// publish it so a fleet scrape can see span loss per process.
-	s.tracer.MeterDropped(reg.Counter("trace.dropped"))
 	if opts.JobsDir != "" {
 		jm, err := newJobManager(s, opts.JobsDir, opts.JobWorkers)
 		if err != nil {
@@ -327,19 +280,13 @@ func NewServer(opts Options) *Server {
 	s.registerInvariants()
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/v1/version", s.handleVersion)
-	mux.HandleFunc("/v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("/v1/stats", s.handleStats)
+	s.front.Mount(mux)
 	mux.HandleFunc("/v1/simulate", s.handleSimulate)
 	mux.HandleFunc("/v1/sweep", s.handleSweep)
 	mux.HandleFunc("/v1/arena", s.handleArena)
-	mux.HandleFunc("/v1/jobs", s.handleJobs)
+	mux.HandleFunc("/v1/jobs", s.front.GetJSON(s.listJobs))
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.Handle("/metrics", stats.MetricsHandler("tcord", reg))
-	mux.HandleFunc("/debug/trace", s.handleDebugTrace)
-	s.mux = mux
+	s.handler = s.front.Handler(s.injectHTTPFaults(mux))
 	if s.jobs != nil {
 		// Resume incomplete jobs only after the mux is live: a resumed job
 		// runs through the same compute path a fresh one does.
@@ -518,35 +465,23 @@ func (s *Server) Registry() *stats.Registry { return s.reg }
 // CheckInvariants verifies the serving-layer accounting identities.
 func (s *Server) CheckInvariants() error { return s.reg.Check() }
 
-// Handler returns the service's root handler with the panic-isolation and
-// metering middleware applied. Mount it anywhere an http.Handler goes
-// (httptest servers, an existing mux) — lifecycle then belongs to the host.
-func (s *Server) Handler() http.Handler { return s.middleware(s.mux) }
+// Handler returns the service's root handler: the mux behind the shared
+// front (request IDs, tracing, panic isolation, metering, access log) and
+// the daemon's own tenant and fault-injection layers. Mount it anywhere an
+// http.Handler goes (httptest servers, an existing mux) — lifecycle then
+// belongs to the host.
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Start listens on addr (host:port; ":0" picks a free port) and serves in
 // the background, returning the bound address. Pair with Shutdown.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown
-	s.logger.Info("listening", "addr", ln.Addr().String())
-	return ln.Addr().String(), nil
-}
+func (s *Server) Start(addr string) (string, error) { return s.front.Start(addr, s.handler) }
 
 // Shutdown drains the server gracefully: readiness flips to 503, new
 // simulations are refused, and in-flight requests (including queued ones)
 // run to completion before Shutdown returns. ctx bounds the drain; its
 // expiry abandons the stragglers and returns their error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.logger.Info("draining")
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
+	err := s.front.Shutdown(ctx)
 	if s.jobs != nil {
 		// Interrupted jobs stay "running" on disk; the next start resumes
 		// them from their checkpoint journals.
@@ -556,135 +491,58 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// statusRecorder captures the response status for the metering middleware.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
+// enter is the daemon's layer inside the front. It resolves the caller's
+// tenant before anything can queue or cache: an unknown credential is a
+// hard 401 (never a silent fallback to the default tenant's quota), and the
+// resolved tenant rides the context into the admission gate, the result
+// cache and the span. The request's meta collects queue wait and cache
+// disposition for the access-log line and the root span.
+func (s *Server) enter(w http.ResponseWriter, r *http.Request) (*http.Request, func() []slog.Attr) {
+	tenant, tenantErr := s.tenants.Resolve(TenantKeyFromRequest(r))
+	if tenant == nil {
+		tenant = s.tenants.Default() // for the log line only
 	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
+	sp := stats.SpanFrom(r.Context())
+	sp.SetAttr("tenant", tenant.Name)
+	meta := &requestMeta{}
+	finish := func() []slog.Attr {
+		wait, disposition := meta.snapshot()
+		sp.SetAttr("cache", disposition)
+		return []slog.Attr{
+			slog.String("tenant", tenant.Name),
+			slog.Duration("queueWait", wait),
+			slog.String("cache", disposition),
+		}
 	}
-	return r.ResponseWriter.Write(b)
+	if tenantErr != nil {
+		s.reg.Counter("serve.rejected.unknownTenant").Inc()
+		s.front.WriteError(w, tenantErr)
+		return nil, finish
+	}
+	s.reg.Counter("serve.tenant." + tenant.Name + ".requests").Inc()
+	return r.WithContext(contextWithTenant(contextWithMeta(r.Context(), meta), tenant)), finish
 }
 
-// middleware is the telemetry and safety shell around every request: it
-// isolates handler panics (a panicking request answers 500 and increments
-// serve.panics; the daemon keeps serving), meters request and response
-// class counters plus the latency histogram, mints or honors the
-// X-Request-Id header (echoed on the response and propagated through the
-// request context into spans and the admission gate), records a root span
-// per request, and emits one structured access-log line carrying request
-// ID, method, path, status, duration, queue wait and cache disposition.
-func (s *Server) middleware(next http.Handler) http.Handler {
+// injectHTTPFaults is the SiteHTTP chaos hook: with the site armed, a
+// request may absorb injected latency, answer an injected status, or panic
+// into the front's recovery — all before the handler, so an injected fault
+// can never reach the result cache. The nil injector costs one branch.
+// The observability surface (health, readiness, metrics, stats, debug) is
+// exempt and never reaches the injector, so it does not advance the seeded
+// fault schedule: the Nth API request sees the same decision regardless of
+// how many probes were interleaved, and a drill keeps a fault-free surface
+// to measure itself with.
+func (s *Server) injectHTTPFaults(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		s.requests.Inc()
-
-		id := r.Header.Get(RequestIDHeader)
-		if id == "" || len(id) > maxRequestIDLen {
-			id = MintRequestID()
-		}
-		w.Header().Set(RequestIDHeader, id)
-
-		meta := &requestMeta{}
-		// Join the caller's trace when a valid traceparent arrived (the
-		// gateway or typed client injects one per hop); otherwise this
-		// process is the trace root. The response echoes the request's own
-		// trace context so callers — and CI — can fetch the stitched trace
-		// for a request they just made.
-		var sp *stats.Span
-		if parent, ok := stats.ExtractTraceparent(r.Header); ok {
-			sp = s.tracer.BeginRemote("http.request", "serve", parent)
-		} else {
-			sp = s.tracer.Begin("http.request", "serve")
-		}
-		stats.InjectTraceparent(w.Header(), sp.Context())
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		sp.SetAttr("requestId", id)
-
-		// Resolve the caller's tenant before anything can queue or cache:
-		// an unknown credential is a hard 401 (never a silent fallback to
-		// the default tenant's quota), and the resolved tenant rides the
-		// context into the admission gate, the result cache and the span.
-		tenant, tenantErr := s.tenants.Resolve(TenantKeyFromRequest(r))
-		if tenant == nil {
-			tenant = s.tenants.Default() // for the log line only
-		}
-		sp.SetAttr("tenant", tenant.Name)
-
-		ctx := ContextWithRequestID(r.Context(), id)
-		ctx = contextWithMeta(ctx, meta)
-		ctx = stats.ContextWithTracer(ctx, s.tracer)
-		ctx = stats.ContextWithSpan(ctx, sp)
-		ctx = contextWithTenant(ctx, tenant)
-		r = r.WithContext(ctx)
-
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Inc()
-				s.logger.Error("panic", "id", id, "method", r.Method,
-					"path", r.URL.Path, "panic", fmt.Sprint(p))
-				if rec.status == 0 {
-					s.writeError(rec, &apiError{status: http.StatusInternalServerError,
-						code: "internal_panic", msg: "internal error"})
-				}
-			}
-			if rec.status == 0 {
-				// The handler wrote nothing (e.g. a body-less 200).
-				rec.status = http.StatusOK
-			}
-			if c := s.responses[rec.status/100]; c != nil {
-				c.Inc()
-			}
-			dur := time.Since(t0)
-			s.latency.Observe(int64(dur))
-			wait, disposition := meta.snapshot()
-			sp.SetAttr("status", strconv.Itoa(rec.status))
-			sp.SetAttr("cache", disposition)
-			sp.End()
-			s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
-				slog.String("id", id),
-				slog.String("tenant", tenant.Name),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("dur", dur),
-				slog.Duration("queueWait", wait),
-				slog.String("cache", disposition))
-		}()
-
-		if tenantErr != nil {
-			s.reg.Counter("serve.rejected.unknownTenant").Inc()
-			s.writeError(rec, tenantErr)
+		p := r.URL.Path
+		if p == "/healthz" || p == "/readyz" || p == "/metrics" || p == "/v1/stats" || strings.HasPrefix(p, "/debug/") {
+			next.ServeHTTP(w, r)
 			return
 		}
-		s.reg.Counter("serve.tenant." + tenant.Name + ".requests").Inc()
-
-		// Chaos hook: with SiteHTTP armed, a request may absorb injected
-		// latency, answer an injected status, or panic into the recovery
-		// above — all before the handler, so an injected fault can never
-		// reach the result cache. The nil injector costs one branch.
-		// Health, metrics, stats and debug endpoints are exempt — checked
-		// before Evaluate so they neither consume a slot in the seeded
-		// schedule nor tick the injected counter: a drill needs a
-		// fault-free observability surface to be measurable, and a faulted
-		// /readyz would flap load balancers rather than exercise the API
-		// path under test.
-		if f := s.chaosEvaluate(r.URL.Path); f.Inject {
+		if f := s.chaos.Evaluate(resilience.SiteHTTP); f.Inject {
 			if f.Latency > 0 {
-				if err := s.clock.Sleep(ctx, f.Latency); err != nil {
-					s.writeError(rec, err) // client gone mid-injected-latency
+				if err := s.clock.Sleep(r.Context(), f.Latency); err != nil {
+					s.front.WriteError(w, err) // client gone mid-injected-latency
 					return
 				}
 			}
@@ -696,119 +554,43 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				if status == 0 {
 					status = http.StatusInternalServerError
 				}
-				s.writeError(rec, &apiError{status: status, code: "injected_fault",
-					msg: "injected fault (chaos mode)"})
+				s.front.WriteError(w, NewError(status, "injected_fault", "injected fault (chaos mode)", 0))
 				return
 			}
 			// Latency-only: fall through to the real handler.
 		}
-		next.ServeHTTP(rec, r)
+		next.ServeHTTP(w, r)
 	})
 }
 
-// chaosEvaluate draws the next SiteHTTP fault decision for a request to
-// path, exempting the observability surface (health, readiness, metrics,
-// stats, debug). Exempt paths never reach the injector, so they do not
-// advance the seeded fault schedule: the Nth API request sees the same
-// decision regardless of how many probes were interleaved.
-func (s *Server) chaosEvaluate(path string) resilience.Fault {
-	switch path {
-	case "/healthz", "/readyz", "/metrics", "/v1/stats":
-		return resilience.Fault{}
+// classifyInjected renders a fault injected below the handler (the
+// simulate site) with its armed status.
+func classifyInjected(err error) error {
+	var ie *resilience.InjectedError
+	if !errors.As(err, &ie) {
+		return nil
 	}
-	if strings.HasPrefix(path, "/debug/") {
-		return resilience.Fault{}
+	status := ie.Code
+	if status < 400 || status > 599 {
+		status = http.StatusInternalServerError
 	}
-	return s.chaos.Evaluate(resilience.SiteHTTP)
-}
-
-// handleDebugTrace serves the daemon's span trace. Without parameters it
-// renders the whole buffer as Chrome trace_event JSON (chrome://tracing,
-// Perfetto) — the historical shape CI pins. With ?trace=<32-hex-id> it
-// serves the raw span records of that one trace as a stats.TraceSet, the
-// pull path the gateway's cluster collector stitches from. With tracing
-// disabled both shapes are empty rather than errors, so scrapers need no
-// config knowledge.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
-	}
-	if q := r.URL.Query().Get("trace"); q != "" {
-		id, err := stats.ParseTraceID(q)
-		if err != nil {
-			s.writeError(w, badRequest("trace parameter: %v", err))
-			return
-		}
-		s.writeJSON(w, s.tracer.TraceSet("", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.tracer.WriteChromeTrace(w); err != nil {
-		s.logger.Error("trace export", "err", err)
-	}
+	return NewError(status, "injected_fault", ie.Error(), 0)
 }
 
 // Tracer returns the server's span tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *stats.Tracer { return s.tracer }
-
-// --- plumbing endpoints ---
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "draining\n")
-		return
-	}
-	if s.brk.State() == resilience.Open {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "degraded: circuit open\n")
-		return
-	}
-	io.WriteString(w, "ready\n")
-}
-
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
-	}
-	s.writeJSON(w, buildinfo.Get())
-}
-
-func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
-	}
-	s.writeJSON(w, Benchmarks())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, methodNotAllowed(http.MethodGet))
-		return
-	}
-	s.writeJSON(w, s.reg.Snapshot())
-}
+func (s *Server) Tracer() *stats.Tracer { return s.front.Tracer() }
 
 // --- simulation endpoints ---
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if _, ok := s.beginSim(w, r, &req); !ok {
+	if _, ok := s.front.BeginSim(w, r, &req); !ok {
 		return
 	}
 
 	j, err := s.resolve(req)
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
 	if r.Header.Get(CacheOnlyHeader) != "" {
@@ -817,70 +599,46 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// cheap lookup into a second copy of the owner's work.
 		val, how, ok := s.cache.peek(j.key)
 		if !ok {
-			s.writeError(w, &apiError{status: http.StatusNotFound,
+			s.front.WriteError(w, &apiError{status: http.StatusNotFound,
 				code: "cache_miss", msg: "result not cached"})
 			return
 		}
 		metaFrom(r.Context()).noteOutcome(how)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Tcord-Cache", string(how))
-		if how == outcomeStale {
-			w.Header().Set("Warning", `110 tcord "response is stale"`)
-		}
-		w.Write(val.body)
+		writeResult(w, how, val.body)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	ctx, cancel := s.front.RequestContext(r, req.TimeoutMs)
 	defer cancel()
 
 	val, how, err := s.runJob(ctx, j)
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
-	if j.check {
-		if err := val.res.CheckInvariants(); err != nil {
-			s.writeError(w, &apiError{status: http.StatusInternalServerError,
-				code: "invariant_violation", msg: err.Error()})
-			return
-		}
-	}
+	writeResult(w, how, val.body)
+}
+
+// writeResult serves a result body with its cache disposition; a stale one
+// carries a Warning.
+func writeResult(w http.ResponseWriter, how outcome, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Tcord-Cache", string(how))
 	if how == outcomeStale {
 		w.Header().Set("Warning", `110 tcord "response is stale"`)
 	}
-	w.Write(val.body)
+	w.Write(body) //nolint:errcheck // client gone is its own problem
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	body, ok := s.beginSim(w, r, &req)
+	body, ok := s.front.BeginSim(w, r, &req)
 	if !ok {
 		return
 	}
-
-	if len(req.Items) == 0 {
-		s.writeError(w, badRequest("sweep needs at least one item"))
+	jobs, timeoutMs, err := ResolveSweep(req, s.opts.MaxSweepItems, "server", s.resolve)
+	if err != nil {
+		s.front.WriteError(w, err)
 		return
-	}
-	if len(req.Items) > s.opts.MaxSweepItems {
-		s.writeError(w, badRequest("sweep has %d items; the server limit is %d",
-			len(req.Items), s.opts.MaxSweepItems))
-		return
-	}
-	jobs := make([]job, len(req.Items))
-	var timeoutMs int
-	for i, item := range req.Items {
-		j, err := s.resolve(item)
-		if err != nil {
-			s.writeError(w, badRequest("item %d: %v", i, err))
-			return
-		}
-		jobs[i] = j
-		if item.TimeoutMs > timeoutMs {
-			timeoutMs = item.TimeoutMs
-		}
 	}
 	if AsyncRequested(r) {
 		// The request is fully validated; hand it to the durable job
@@ -888,7 +646,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.submitJob(w, r, JobKindSweep, body)
 		return
 	}
-	ctx, cancel := s.requestContext(r, timeoutMs)
+	ctx, cancel := s.front.RequestContext(r, timeoutMs)
 	defer cancel()
 
 	// The items fan out through the same bounded pool the experiment
@@ -905,56 +663,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if how == outcomeStale {
 				anyStale.Store(true)
 			}
-			if j.check {
-				if err := val.res.CheckInvariants(); err != nil {
-					return nil, &apiError{status: http.StatusInternalServerError,
-						code: "invariant_violation", msg: err.Error()}
-				}
-			}
 			// Trim the canonical trailing newline: the bodies embed into
 			// the runs array, where encoding/json would compact it anyway.
 			return json.RawMessage(string(val.body[:len(val.body)-1])), nil
 		})
 	if err != nil {
-		s.writeError(w, err)
+		s.front.WriteError(w, err)
 		return
 	}
 	if anyStale.Load() {
 		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
-	s.writeJSON(w, SweepResponse{Runs: runs})
-}
-
-// beginSim is the shared front door of the simulation endpoints: method
-// check, drain check, bounded body read, strict decode. It returns the raw
-// body (the async job path content-addresses it) and false after writing
-// the error response itself.
-func (s *Server) beginSim(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, methodNotAllowed(http.MethodPost))
-		return nil, false
-	}
-	if s.draining.Load() {
-		s.writeError(w, errDraining)
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
-				code: "body_too_large",
-				msg:  fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxBodyBytes)})
-		} else {
-			s.writeError(w, badRequest("reading request body: %v", err))
-		}
-		return nil, false
-	}
-	if err := decodeStrict(body, into); err != nil {
-		s.writeError(w, err)
-		return nil, false
-	}
-	return body, true
+	s.front.WriteJSON(w, SweepResponse{Runs: runs})
 }
 
 // AsyncRequested reports whether the request asked for the durable-job
@@ -968,19 +688,6 @@ func AsyncRequested(r *http.Request) bool {
 	return false
 }
 
-// requestContext derives the per-request deadline: the request-supplied
-// timeout clamped to MaxTimeout, falling back to DefaultTimeout.
-func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.opts.DefaultTimeout
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > s.opts.MaxTimeout {
-		d = s.opts.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
 // runJob serves one resolved simulation through the cache, the singleflight
 // table and the admission gate, in that order: a cached result costs no
 // worker slot, a coalesced waiter rides the leader's slot, and only a true
@@ -988,19 +695,16 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int) (context.Context
 // breaker (when configured): an open breaker short-circuits to 503 before
 // a worker slot is consumed, and the cache may then serve bounded-stale
 // entries instead. The cache disposition is noted on the request's meta
-// for the access log.
+// for the access log. A request with check set fails with 500
+// "invariant_violation" when the result breaks a hierarchy invariant.
 func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
 	val, how, err := s.cache.get(ctx, j.key, s.breakerOpen, func() (cached, error) {
 		done, allowErr := s.brk.Allow()
-		if allowErr != nil {
+		var oe *resilience.OpenError
+		if errors.As(allowErr, &oe) {
 			s.brkShort.Inc()
-			ae := &apiError{status: http.StatusServiceUnavailable, code: "breaker_open",
-				msg: "simulation path unavailable (circuit open); retry later"}
-			var oe *resilience.OpenError
-			if errors.As(allowErr, &oe) {
-				ae.retryAfter = oe.RetryIn
-			}
-			return cached{}, ae
+			return cached{}, NewError(http.StatusServiceUnavailable, "breaker_open",
+				"simulation path unavailable (circuit open); retry later", oe.RetryIn)
 		}
 		// The breaker must observe exactly one outcome per admitted call,
 		// panics included: an escaping panic (an injected one, or a bug in
@@ -1012,15 +716,21 @@ func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
 				done(errComputePanicked)
 			}
 		}()
-		val, err := s.computeJob(ctx, j)
+		val, err := s.admitted(ctx, func() (cached, error) { return s.computeCell(ctx, j) })
 		committed = true
 		done(breakerOutcome(err))
 		return val, err
 	})
-	if err == nil {
-		metaFrom(ctx).noteOutcome(how)
+	if err != nil {
+		return val, how, err
 	}
-	return val, how, err
+	metaFrom(ctx).noteOutcome(how)
+	if j.check {
+		if err := val.res.CheckInvariants(); err != nil {
+			return val, how, NewError(http.StatusInternalServerError, "invariant_violation", err.Error(), 0)
+		}
+	}
+	return val, how, nil
 }
 
 // breakerOpen reports whether the simulate path's breaker is open — the
@@ -1045,18 +755,18 @@ func breakerOutcome(err error) error {
 	return err
 }
 
-// computeJob is the cache-miss leader's work: admission through the
-// fair-share gate, then the ungated cell compute. A queue-full rejection is
-// decorated with the caller tenant's own Retry-After — sized from that
-// tenant's backlog, not the whole machine's.
-func (s *Server) computeJob(ctx context.Context, j job) (cached, error) {
+// admitted runs a cache-miss leader's compute under one slot of the
+// fair-share admission gate. A queue-full rejection is decorated with the
+// caller tenant's own Retry-After — sized from that tenant's backlog, not
+// the whole machine's.
+func (s *Server) admitted(ctx context.Context, compute func() (cached, error)) (cached, error) {
 	rel, err := s.gate.acquire(ctx)
+	if err == errQueueFull {
+		qe := *errQueueFull
+		qe.retryAfter = s.tenantRetryAfter(s.tenantFrom(ctx))
+		return cached{}, &qe
+	}
 	if err != nil {
-		if err == errQueueFull {
-			qe := *errQueueFull
-			qe.retryAfter = s.tenantRetryAfter(s.tenantFrom(ctx))
-			return cached{}, &qe
-		}
 		return cached{}, err
 	}
 	defer rel()
@@ -1064,13 +774,13 @@ func (s *Server) computeJob(ctx context.Context, j job) (cached, error) {
 		// The deadline or the client beat the queue; don't start.
 		return cached{}, err
 	}
-	return s.computeCell(ctx, j)
+	return compute()
 }
 
 // computeCell is the admission-free compute core: workload generation, the
 // simulation itself and the canonical encoding, split into sim and encode
 // spans feeding the serve.sim.duration and serve.encode.duration
-// histograms. Sync requests reach it through computeJob's gate; background
+// histograms. Sync requests reach it through the admission gate; background
 // jobs call it directly — their concurrency is bounded by the job pool, off
 // the sync admission path. With SiteSimulate armed, the chaos injector runs
 // first — injected errors surface like simulator failures and are never
@@ -1083,15 +793,15 @@ func (s *Server) computeCell(ctx context.Context, j job) (cached, error) {
 	scene, err := workload.Generate(j.spec, geom.DefaultScreen())
 	if err != nil {
 		s.simFailed.Inc()
-		return cached{}, badRequest("generating workload: %v", err)
+		return cached{}, BadRequest("generating workload: %v", err)
 	}
 	simT0 := time.Now()
 	sp, sctx := stats.StartSpan(ctx, "simulate", "serve")
 	sp.SetAttr("benchmark", j.spec.Alias)
 	sp.SetAttr("config", j.cfgName)
 	cfg := j.cfg
-	cfg.Tracer = s.tracer // json:"-", so the cache key is unaffected
-	cfg.TraceParent = sp  // frame/phase spans join the request's trace
+	cfg.Tracer = s.front.Tracer() // json:"-", so the cache key is unaffected
+	cfg.TraceParent = sp          // frame/phase spans join the request's trace
 	res, err := s.simulate(sctx, scene, cfg)
 	sp.End()
 	s.simDur.ObserveSince(simT0)
@@ -1113,47 +823,6 @@ func (s *Server) computeCell(ctx context.Context, j job) (cached, error) {
 }
 
 // --- response helpers ---
-
-func methodNotAllowed(allow string) *apiError {
-	return &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-		msg: "use " + allow}
-}
-
-// writeError renders any error as the JSON error envelope. Context errors
-// map to timeout/cancellation statuses; unknown errors are opaque 500s.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	var ae *apiError
-	var ie *resilience.InjectedError
-	switch {
-	case errors.As(err, &ae):
-	case errors.As(err, &ie):
-		status := ie.Code
-		if status < 400 || status > 599 {
-			status = http.StatusInternalServerError
-		}
-		ae = &apiError{status: status, code: "injected_fault", msg: ie.Error()}
-	case errors.Is(err, context.DeadlineExceeded):
-		ae = &apiError{status: http.StatusGatewayTimeout, code: "deadline_exceeded",
-			msg: "request deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		// The client is gone; the status is for the log/metrics only.
-		ae = &apiError{status: 499, code: "canceled", msg: "request canceled"}
-	default:
-		ae = &apiError{status: http.StatusInternalServerError, code: "internal",
-			msg: err.Error()}
-	}
-	retryAfter := ae.retryAfter
-	if ae.status == http.StatusTooManyRequests && retryAfter <= 0 {
-		retryAfter = s.retryAfterEstimate()
-	}
-	if retryAfter > 0 {
-		secs := int((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(ae.status)
-	json.NewEncoder(w).Encode(ErrorBody{Error: ErrorDetail{Code: ae.code, Message: ae.msg}}) //nolint:errcheck
-}
 
 // retryAfterEstimate sizes the 429 hint from live load instead of a
 // constant: the backlog (in-flight plus queued plus the rejected caller)
@@ -1187,12 +856,4 @@ func (s *Server) retryAfterFor(backlog, workers int64) time.Duration {
 		d = 60 * time.Second
 	}
 	return d
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		s.logger.Error("encoding response", "err", err)
-	}
 }
