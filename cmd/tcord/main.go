@@ -94,8 +94,6 @@ type options struct {
 	chaosPlan resilience.FaultPlan
 	chaosSeed int64
 	breaker   bool
-	cacheTTL  time.Duration
-	maxStale  time.Duration
 
 	shards []string
 	vnodes int
@@ -124,9 +122,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.logFormat, "log", "text", "access/lifecycle log format: text, json or off")
 	fs.IntVar(&o.traceCap, "trace-spans", 4096, "span capacity of GET /debug/trace; on a gateway also sizes the buffer behind /v1/cluster/trace (0 = tracing off)")
 	fs.StringVar(&o.chaos, "chaos", "", `inject faults into requests, e.g. "rate=0.1,lat=50ms,codes=500|503,seed=7" (empty = off)`)
-	fs.BoolVar(&o.breaker, "breaker", true, "guard the simulation path with a circuit breaker (503 + stale cache when open)")
-	fs.DurationVar(&o.cacheTTL, "cache-ttl", 0, "result-cache entry freshness bound (0 = fresh forever)")
-	fs.DurationVar(&o.maxStale, "max-stale", time.Hour, "how far past -cache-ttl an entry may be served while the breaker is open (0 = never)")
+	fs.BoolVar(&o.breaker, "breaker", true, "guard the simulation path with a circuit breaker (503 on cache misses when open)")
 	fs.BoolVar(&o.version, "version", false, "print the build identity and exit")
 	var shards string
 	fs.StringVar(&shards, "shards", "", "run as a cluster gateway over these shard daemons (comma-separated host:port or http://host:port; empty = serve simulations directly)")
@@ -173,12 +169,6 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 			return options{}, err
 		}
 		o.chaosPlan, o.chaosSeed = plan, seed
-	}
-	if o.cacheTTL < 0 {
-		return options{}, fmt.Errorf("-cache-ttl must be non-negative, got %v", o.cacheTTL)
-	}
-	if o.maxStale < 0 {
-		return options{}, fmt.Errorf("-max-stale must be non-negative, got %v", o.maxStale)
 	}
 	if shards != "" {
 		for _, sh := range strings.Split(shards, ",") {
@@ -247,8 +237,6 @@ func serveOptions(o options) serve.Options {
 		DefaultTimeout: o.timeout,
 		TraceCapacity:  o.traceCap,
 		Logger:         newLogger(o.logFormat),
-		CacheTTL:       o.cacheTTL,
-		MaxStale:       o.maxStale,
 		Tenants:        o.tenants,
 		JobsDir:        o.jobsDir,
 		JobWorkers:     o.jobWorkers,

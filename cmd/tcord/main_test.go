@@ -34,9 +34,6 @@ func TestParseOptionsValidation(t *testing.T) {
 		{"chaos bad key", []string{"-chaos", "turbo=1"}, true},
 		{"chaos bad code", []string{"-chaos", "codes=99"}, true},
 		{"breaker off", []string{"-breaker=false"}, false},
-		{"cache ttl", []string{"-cache-ttl", "1m", "-max-stale", "1h"}, false},
-		{"negative cache ttl", []string{"-cache-ttl", "-1s"}, true},
-		{"negative max stale", []string{"-max-stale", "-1s"}, true},
 		{"negative workers", []string{"-workers", "-1"}, true},
 		{"negative queue", []string{"-queue", "-1"}, true},
 		{"negative cache", []string{"-cache", "-1"}, true},
@@ -90,8 +87,7 @@ func TestServeOptionsMapping(t *testing.T) {
 		t.Fatal("Breaker off by default; -breaker defaults to true")
 	}
 
-	o, err = parseOptions([]string{"-chaos", "rate=0.1,seed=3", "-breaker=false",
-		"-cache-ttl", "90s", "-max-stale", "2h"}, io.Discard)
+	o, err = parseOptions([]string{"-chaos", "rate=0.1,seed=3", "-breaker=false"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +100,6 @@ func TestServeOptionsMapping(t *testing.T) {
 	}
 	if so.Breaker != nil {
 		t.Fatal("-breaker=false still configured a breaker")
-	}
-	if so.CacheTTL != 90*time.Second || so.MaxStale != 2*time.Hour {
-		t.Fatalf("cache freshness mapped as (%v, %v), want (90s, 2h)", so.CacheTTL, so.MaxStale)
 	}
 }
 

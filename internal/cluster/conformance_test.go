@@ -54,6 +54,7 @@ var conformanceCases = []struct {
 	{"simulate unknown field", exchange{"POST", "/v1/simulate", `{"benchmark":"GTr","turbo":true}`, ""}},
 	{"simulate oversize body", exchange{"POST", "/v1/simulate", `{"benchmark":"` + strings.Repeat("x", conformanceBodyLimit) + `"}`, ""}},
 	{"simulate over frame limit", exchange{"POST", "/v1/simulate", `{"benchmark":"GTr","frames":2}`, ""}},
+	{"simulate tcor at list cache size", exchange{"POST", "/v1/simulate", `{"benchmark":"GTr","frames":1,"tileCacheKB":16}`, ""}},
 	{"simulate unknown tenant", exchange{"POST", "/v1/simulate", `{"benchmark":"GTr","frames":1}`, "no-such-key"}},
 	{"valid sweep", exchange{"POST", "/v1/sweep", `{"items":[{"benchmark":"GTr","frames":1},{"benchmark":"GTr","frames":1,"config":"baseline"}]}`, ""}},
 	{"GET simulate", exchange{"GET", "/v1/simulate", "", ""}},

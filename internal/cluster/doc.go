@@ -45,19 +45,21 @@
 //	sub-sweep   —      —            —         owner only
 //
 // Hedging: when the owner has not answered within the hedge delay
-// (adaptive: the observed p99 of proxied simulate latency, floored at
-// MinHedge), a second copy goes to the next shard and the first answer
-// wins; simulations are deterministic, so the cost is wasted cycles,
-// never divergent answers. Owner probe: before a non-owner computes a
-// failed-over simulation, the owner's cache is asked (serve.
+// (adaptive: the observed p99 of proxied simulate latency, floored at the
+// 50 ms minHedge constant), a second copy goes to the next shard and the
+// first answer wins; simulations are deterministic, so the cost is wasted
+// cycles, never divergent answers. Owner probe: before a non-owner
+// computes a failed-over simulation, the owner's cache is asked (serve.
 // CacheOnlyHeader) — a shard with a broken compute path still answers
-// from cache, and a dead one fails fast. A job's 404 walks on because a
-// successor may hold a job submitted while its owner was down.
+// from cache, and a dead one fails within the 1 s probeTimeout constant.
+// A job's 404 walks on because a successor may hold a job submitted while
+// its owner was down.
 //
-// /v1/sweep fans out as per-owner sub-sweeps (chunked to the shards'
-// sweep limit) and reassembles the runs in global item order; run bodies
-// travel as raw bytes, so the merge is byte-identical to one node. A
-// failed sub-sweep degrades to item-by-item simulate routing.
+// /v1/sweep fans out as per-owner sub-sweeps (chunked to
+// serve.MaxSweepItems, the shards' sweep limit) and reassembles the runs
+// in global item order; run bodies travel as raw bytes, so the merge is
+// byte-identical to one node. A failed sub-sweep degrades to item-by-item
+// simulate routing.
 //
 // # Observability
 //

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcor/internal/resilience"
@@ -33,30 +32,18 @@ type Options struct {
 	// fixed delay after which the gateway issues a second copy of the
 	// request to the next shard on the ring; zero (the default) adapts
 	// the delay to the observed p99 of proxied simulate latency (the
-	// gw.proxy.duration histogram), floored at MinHedge and disabled
+	// gw.proxy.duration histogram), floored at minHedge and disabled
 	// until HedgeWarmup samples exist; negative disables hedging.
 	HedgeAfter time.Duration
-	// MinHedge floors the adaptive hedge delay so a burst of cache hits
-	// cannot drive it toward zero and double every request (0 = 50ms).
-	MinHedge time.Duration
-	// ProbeTimeout bounds the peer cache probe issued to a key's owner
-	// before a failover shard is allowed to simulate it (0 = 1s).
-	ProbeTimeout time.Duration
 	// MaxSweepItems bounds one /v1/sweep at the gateway (0 = 1024). The
-	// gateway chunks sweeps into sub-sweeps, so its bound is naturally
-	// larger than a single shard's.
+	// gateway chunks sweeps into sub-sweeps of at most serve.MaxSweepItems,
+	// so its bound is naturally larger than a single shard's.
 	MaxSweepItems int
-	// ShardSweepItems caps the items of one sub-sweep sent to a shard;
-	// it must not exceed the shards' own MaxSweepItems (0 = 64, the
-	// shard default).
-	ShardSweepItems int
 	// MaxBodyBytes bounds request bodies; larger ones get 413 (0 = 1 MiB).
 	MaxBodyBytes int64
 	// DefaultTimeout is the per-request deadline when the request does
-	// not carry one (0 = 60s); MaxTimeout clamps request-supplied
-	// deadlines (0 = 10m). Both bound the whole hedged/failover chain.
+	// not carry one (0 = 60s). It bounds the whole hedged/failover chain.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// Retry configures the per-shard client's retry policy (nil = 3
 	// attempts, 50ms base, 1s cap). Transient shard blips are absorbed
 	// here; sustained failure surfaces to the gateway, trips the shard's
@@ -67,9 +54,6 @@ type Options struct {
 	// breaker takes its shard out of the candidate order until a probe
 	// succeeds.
 	Breaker *resilience.BreakerConfig
-	// HTTPClient is the transport shared by every shard client (nil =
-	// http.DefaultClient).
-	HTTPClient *http.Client
 	// Registry receives the gateway's metrics (nil = private, readable
 	// via Gateway.Registry).
 	Registry *stats.Registry
@@ -93,21 +77,21 @@ type Options struct {
 // wants before it starts hedging: quantiles over fewer samples whipsaw.
 const HedgeWarmup = 16
 
+const (
+	// minHedge floors the adaptive hedge delay so a burst of cache hits
+	// cannot drive it toward zero and double every request.
+	minHedge = 50 * time.Millisecond
+	// probeTimeout bounds the peer cache probe issued to a key's owner
+	// before a failover shard is allowed to simulate it.
+	probeTimeout = time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.VNodes <= 0 {
 		o.VNodes = DefaultVNodes
 	}
-	if o.MinHedge <= 0 {
-		o.MinHedge = 50 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
 	if o.MaxSweepItems <= 0 {
 		o.MaxSweepItems = 1024
-	}
-	if o.ShardSweepItems <= 0 {
-		o.ShardSweepItems = 64
 	}
 	if o.Retry == nil {
 		o.Retry = &resilience.RetryPolicy{
@@ -123,9 +107,6 @@ func (o Options) withDefaults() Options {
 			FailureRatio: 0.5,
 			Cooldown:     2 * time.Second,
 		}
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
 	}
 	if o.Registry == nil {
 		o.Registry = stats.NewRegistry()
@@ -198,7 +179,7 @@ func NewGateway(opts Options) (*Gateway, error) {
 		g.shards = append(g.shards, &shard{
 			name: name,
 			idx:  i,
-			client: client.New(name, opts.HTTPClient,
+			client: client.New(name, http.DefaultClient,
 				client.WithRetry(*opts.Retry),
 				client.WithMetricsPrefix(reg, "gw.shard."+strconv.Itoa(i))),
 			brk: resilience.NewBreaker(cfg),
@@ -217,7 +198,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 		TraceCapacity:  opts.TraceCapacity,
 		MaxBodyBytes:   opts.MaxBodyBytes,
 		DefaultTimeout: opts.DefaultTimeout,
-		MaxTimeout:     opts.MaxTimeout,
 		// Lift the caller's tenant credential into the context: the
 		// per-shard client re-applies it on every attempt, so quota and
 		// cache accounting follow the caller through retries, hedges and
@@ -376,15 +356,15 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // onto the next shard when the owner is slower than the hedge delay,
 // failed over along the ring when an attempt errors. A failover to a
 // non-owner first probes the owner's cache: a shard whose compute path is
-// broken (breaker open, serving bounded-stale) still answers probes, and a
-// dead one fails them fast — either way a failover shard never recomputes a
+// broken (breaker open) still serves its cached results, and a dead one
+// fails the probe fast — either way a failover shard never recomputes a
 // result the cluster already holds.
 func (g *Gateway) simulate(ctx context.Context, req serve.SimulateRequest, key string) (reply, *shard, error) {
 	return route(g, ctx, key, policy[reply]{
 		span:  "gw.attempt",
 		hedge: true,
 		probe: func(ctx context.Context, owner *shard) (reply, bool) {
-			ctx, cancel := context.WithTimeout(ctx, g.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			rp, ok, _ := g.probe(ctx, owner, req)
 			return rp, ok
@@ -413,7 +393,7 @@ func (g *Gateway) probe(ctx context.Context, owner *shard, req serve.SimulateReq
 
 // hedgeDelay resolves the current hedge delay: fixed when configured,
 // adaptive (observed p99 of proxied simulate latency, floored at
-// MinHedge) by default, zero = hedging off for this request.
+// minHedge) by default, zero = hedging off for this request.
 func (g *Gateway) hedgeDelay() time.Duration {
 	switch {
 	case g.opts.HedgeAfter < 0:
@@ -426,8 +406,8 @@ func (g *Gateway) hedgeDelay() time.Duration {
 		return 0
 	}
 	d := time.Duration(snap.Quantile(0.99))
-	if d < g.opts.MinHedge {
-		d = g.opts.MinHedge
+	if d < minHedge {
+		d = minHedge
 	}
 	return d
 }
@@ -490,29 +470,19 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := g.front.RequestContext(r, timeoutMs)
 	defer cancel()
 
-	runs, anyStale, err := g.fanOutSweep(ctx, req.Items, keys)
+	runs, err := g.fanOutSweep(ctx, req.Items, keys)
 	if err != nil {
 		g.front.WriteError(w, err)
 		return
-	}
-	if anyStale {
-		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
 	g.front.WriteJSON(w, serve.SweepResponse{Runs: runs})
 }
 
 // sweepChunk is one sub-sweep: a run of same-owner items, at most
-// ShardSweepItems long, remembering each item's global index.
+// serve.MaxSweepItems long, remembering each item's global index.
 type sweepChunk struct {
 	key    string // any member's content address: they share the owner
 	global []int
-}
-
-// subSweep is a sub-sweep's answer: the runs in chunk order and whether
-// any of them was served stale.
-type subSweep struct {
-	runs  []json.RawMessage
-	stale bool
 }
 
 // fanOutSweep distributes items across their owning shards as sub-sweeps
@@ -520,7 +490,7 @@ type subSweep struct {
 // shard death mid-sweep included — degrades to item-by-item routing with
 // full failover, so a sweep only fails when an item is unservable by
 // every shard (or genuinely invalid).
-func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([]json.RawMessage, bool, error) {
+func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest, keys []string) ([]json.RawMessage, error) {
 	// Group by owner, preserving item order within each owner.
 	byOwner := make(map[int][]int)
 	for i, key := range keys {
@@ -530,14 +500,13 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 	var chunks []sweepChunk
 	for _, globals := range byOwner {
 		for len(globals) > 0 {
-			n := min(len(globals), g.opts.ShardSweepItems)
+			n := min(len(globals), serve.MaxSweepItems)
 			chunks = append(chunks, sweepChunk{key: keys[globals[0]], global: globals[:n]})
 			globals = globals[n:]
 		}
 	}
 
 	runs := make([]json.RawMessage, len(items))
-	var anyStale atomic.Bool
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
@@ -552,10 +521,7 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 			got, err := g.subSweep(ctx, ch.key, sub)
 			if err == nil {
 				for i, gi := range ch.global {
-					runs[gi] = got.runs[i]
-				}
-				if got.stale {
-					anyStale.Store(true)
+					runs[gi] = got[i]
 				}
 				return
 			}
@@ -577,34 +543,31 @@ func (g *Gateway) fanOutSweep(ctx context.Context, items []serve.SimulateRequest
 				// embed without it, exactly as the shard's own sweep
 				// handler trims.
 				runs[gi] = json.RawMessage(string(rp.body[:len(rp.body)-1]))
-				if rp.outcome == "stale" {
-					anyStale.Store(true)
-				}
 			}
 		}(ch)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		// The wrap keeps a shard's own rejection rendering unchanged.
-		return nil, false, fmt.Errorf("cluster: sweep failed: %w", firstErr)
+		return nil, fmt.Errorf("cluster: sweep failed: %w", firstErr)
 	}
-	return runs, anyStale.Load(), nil
+	return runs, nil
 }
 
 // subSweep sends one sub-sweep to its owner alone, as a gw.subsweep span
 // carrying the chunk size — the span whose traceparent the shard's own
 // sweep spans stitch under. It never walks the ring: a failed sub-sweep
 // falls back item by item instead.
-func (g *Gateway) subSweep(ctx context.Context, key string, items []serve.SimulateRequest) (subSweep, error) {
-	got, _, err := route(g, ctx, key, policy[subSweep]{span: "gw.subsweep", ownerOnly: true},
-		func(ctx context.Context, sh *shard) (subSweep, error) {
+func (g *Gateway) subSweep(ctx context.Context, key string, items []serve.SimulateRequest) ([]json.RawMessage, error) {
+	got, _, err := route(g, ctx, key, policy[[]json.RawMessage]{span: "gw.subsweep", ownerOnly: true},
+		func(ctx context.Context, sh *shard) ([]json.RawMessage, error) {
 			stats.SpanFrom(ctx).SetAttr("items", strconv.Itoa(len(items)))
-			runs, hdr, err := sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
+			runs, err := sh.client.SweepRaw(ctx, serve.SweepRequest{Items: items})
 			if err == nil && len(runs) != len(items) {
 				err = fmt.Errorf("cluster: shard %s returned %d runs for %d items",
 					sh.name, len(runs), len(items))
 			}
-			return subSweep{runs: runs, stale: hdr.Get("Warning") != ""}, err
+			return runs, err
 		})
 	return got, err
 }

@@ -147,7 +147,7 @@ func TestGatewayRoutesToOwner(t *testing.T) {
 	}
 	g, srv := newTestGateway(t, fc, singleAttempt())
 
-	for kb := 16; kb <= 256; kb *= 2 {
+	for kb := 32; kb <= 512; kb *= 2 {
 		req := testSim
 		req.TileCacheKB = kb
 		want := ownerOf(t, g, req)[0]
@@ -198,9 +198,9 @@ func TestGatewayHedgesSlowOwner(t *testing.T) {
 }
 
 // TestGatewayFailoverProbesOwnerCache: when the owner's compute path
-// fails but its cache still answers probes (the breaker-open,
-// serving-bounded-stale regime), a failover serves the owner's cached
-// bytes instead of recomputing on another shard.
+// fails but its cache still answers probes (the breaker-open regime), a
+// failover serves the owner's cached bytes instead of recomputing on
+// another shard.
 func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	fc := newFakeCluster(t, 2)
 	g, srv := newTestGateway(t, fc, singleAttempt())
@@ -208,8 +208,7 @@ func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	order := ownerOf(t, g, testSim)
 	fc.setRole(order[0], func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(serve.CacheOnlyHeader) != "" {
-			w.Header().Set("X-Tcord-Cache", "stale")
-			w.Header().Set("Warning", `110 tcord "response is stale"`)
+			w.Header().Set("X-Tcord-Cache", "hit")
 			io.WriteString(w, "{\"from\":\"owner-cache\"}\n")
 			return
 		}
@@ -222,8 +221,8 @@ func TestGatewayFailoverProbesOwnerCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "owner-cache") {
 		t.Fatalf("failover got %d %q, want the owner's cached value", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("X-Tcord-Cache"); got != "stale" {
-		t.Fatalf("X-Tcord-Cache = %q, want stale", got)
+	if got := resp.Header.Get("X-Tcord-Cache"); got != "hit" {
+		t.Fatalf("X-Tcord-Cache = %q, want hit", got)
 	}
 	if got := resp.Header.Get(serve.ShardHeader); got != order[0] {
 		t.Fatalf("served by %s, want the owner %s (via cache probe)", got, order[0])
@@ -332,7 +331,7 @@ func TestGatewayChaosProxyAbsorbed(t *testing.T) {
 
 	for i := 0; i < 40; i++ {
 		req := testSim
-		req.TileCacheKB = 16 + i
+		req.TileCacheKB = 17 + i
 		resp := postSim(t, srv.URL, req)
 		body := readBody(t, resp)
 		if resp.StatusCode != http.StatusOK {
@@ -354,7 +353,7 @@ func TestGatewaySweepFallsBackItemByItem(t *testing.T) {
 	items := make([]serve.SimulateRequest, 6)
 	for i := range items {
 		items[i] = testSim
-		items[i].TileCacheKB = 16 << i
+		items[i].TileCacheKB = 32 << i
 	}
 	// Both shards answer simulate with their identity; one shard's sweep
 	// endpoint is broken.

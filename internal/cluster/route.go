@@ -226,9 +226,6 @@ func (rp reply) write(w http.ResponseWriter, sh *shard) {
 	w.Header().Set("Content-Type", "application/json")
 	if rp.outcome != "" {
 		w.Header().Set("X-Tcord-Cache", string(rp.outcome))
-		if rp.outcome == "stale" {
-			w.Header().Set("Warning", `110 tcord "response is stale"`)
-		}
 	}
 	w.Header().Set(serve.ShardHeader, sh.name)
 	if rp.status != 0 {

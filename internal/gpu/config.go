@@ -16,6 +16,7 @@ import (
 	"tcor/internal/geom"
 	"tcor/internal/l2"
 	"tcor/internal/stats"
+	"tcor/internal/tcor"
 	"tcor/internal/tiling"
 )
 
@@ -189,6 +190,13 @@ func (c Config) Validate() error {
 	}
 	if c.TileCacheBytes <= 0 {
 		return fmt.Errorf("gpu: tile cache size must be positive")
+	}
+	// TCOR carves its fixed-size Primitive List Cache out of the budget;
+	// the Attribute Cache needs at least one entry of what is left.
+	if list := tcor.DefaultListCacheConfig().SizeBytes; c.Kind == KindTCOR &&
+		tcor.SizeToAttrEntries(c.TileCacheBytes-list) < 1 {
+		return fmt.Errorf("gpu: a TCOR tile cache must exceed its %d KiB primitive list cache, got %d bytes",
+			list/1024, c.TileCacheBytes)
 	}
 	if c.OutputQueueDepth <= 0 {
 		return fmt.Errorf("gpu: output queue depth must be positive")

@@ -49,6 +49,19 @@ func TestConfigConstructors(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero tile cache must fail validation")
 	}
+	// TCOR's 16 KiB list cache must leave room for the attribute cache;
+	// the baseline has no such split.
+	for _, size := range []int{1024, 16 * 1024} {
+		if err := TCOR(size).Validate(); err == nil {
+			t.Errorf("TCOR at %d bytes must fail validation", size)
+		}
+		if err := Baseline(size).Validate(); err != nil {
+			t.Errorf("baseline at %d bytes: %v", size, err)
+		}
+	}
+	if err := TCOR(17 * 1024).Validate(); err != nil {
+		t.Errorf("TCOR at 17 KiB: %v", err)
+	}
 }
 
 func TestSimulateBaselineRuns(t *testing.T) {

@@ -124,9 +124,8 @@ type BenchmarkInfo struct {
 }
 
 // CacheOnlyHeader, set truthy on POST /v1/simulate, turns the request into
-// a cache probe: a fresh (or, in degraded paths, bounded-stale) completed
-// entry is served exactly as a hit would be, and anything else — absent
-// key, expired entry, in-flight recompute — answers 404 with code
+// a cache probe: a completed entry is served exactly as a hit would be, and
+// anything else — absent key, in-flight compute — answers 404 with code
 // "cache_miss" without consuming a worker slot or starting a simulation.
 // The cluster gateway uses it for peer-aware lookup: before a failover
 // shard simulates a key it does not own, the owner's cache is asked first.

@@ -2,187 +2,41 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
-	"tcor/internal/resilience"
 	"tcor/internal/stats"
 )
 
-// cacheFixture builds a TTL'd result cache on a FakeClock.
-func cacheFixture(capacity int, ttl, maxStale time.Duration) (*resultCache, *resilience.FakeClock, *stats.Registry) {
-	clock := resilience.NewFakeClock(time.Unix(1000, 0))
-	reg := stats.NewRegistry()
-	return newResultCache(capacity, ttl, maxStale, clock, DefaultTenants(), reg, "serve.cache"), clock, reg
-}
-
-func mustGet(t *testing.T, c *resultCache, key string, allowStale func() bool, compute func() (cached, error)) (cached, outcome) {
-	t.Helper()
-	val, how, err := c.get(context.Background(), key, allowStale, compute)
-	if err != nil {
-		t.Fatalf("get(%s): %v", key, err)
-	}
-	return val, how
-}
-
-func always() bool { return true }
-
-// TestExpiredEntryRetainedAcrossFailedRecompute is the regression test for
-// the lost-last-good-value bug: get used to delete a TTL-expired entry
-// before recomputing, so a failed recompute (a chaos fault, a breaker
-// probe) dropped the value that maxStale degraded serving should still have
-// offered. The old entry must survive until a replacement lands.
-func TestExpiredEntryRetainedAcrossFailedRecompute(t *testing.T) {
-	c, clock, reg := cacheFixture(8, time.Second, time.Hour)
-
-	v1 := cached{body: []byte("v1\n")}
-	if _, how := mustGet(t, c, "k", nil, func() (cached, error) { return v1, nil }); how != outcomeMiss {
-		t.Fatalf("first get served %q, want miss", how)
-	}
-
-	// Expire it, then fail the recompute the way a chaos fault would.
-	clock.Advance(2 * time.Second)
-	boom := errors.New("injected")
-	if _, _, err := c.get(context.Background(), "k", nil, func() (cached, error) {
-		return cached{}, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("failed recompute returned %v, want the compute error", err)
-	}
-
-	// Degraded serving must still find the last-good value — without
-	// running compute at all.
-	val, how, err := c.get(context.Background(), "k", always, func() (cached, error) {
-		t.Fatal("degraded get must not recompute when a retained entry is servable")
-		return cached{}, nil
-	})
-	if err != nil || how != outcomeStale || string(val.body) != "v1\n" {
-		t.Fatalf("degraded get = (%q, %q, %v), want the retained v1 as stale", val.body, how, err)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap.Get("serve.cache.retained"); got != 1 {
-		t.Fatalf("serve.cache.retained = %d, want 1", got)
-	}
-	if ret, exp := snap.Get("serve.cache.retained"), snap.Get("serve.cache.expired"); ret > exp {
-		t.Fatalf("retained %d > expired %d", ret, exp)
-	}
-
-	// A successful recompute replaces the retained entry for good.
-	clock.Advance(2 * time.Second)
-	v2 := cached{body: []byte("v2\n")}
-	if _, how := mustGet(t, c, "k", nil, func() (cached, error) { return v2, nil }); how != outcomeMiss {
-		t.Fatalf("recompute served %q, want miss", how)
-	}
-	if val, how := mustGet(t, c, "k", nil, nil); how != outcomeHit || string(val.body) != "v2\n" {
-		t.Fatalf("after successful recompute: (%q, %q), want fresh v2 hit", val.body, how)
-	}
-	if got := c.len(); got != 1 {
-		t.Fatalf("cache holds %d completed entries, want 1 (the predecessor must not leak)", got)
-	}
-}
-
-// TestRetainedEntryServedWhileRecomputeInFlight: a degraded caller arriving
-// while the expired key's recompute is still running gets the retained
-// last-good value immediately instead of blocking on a leader that is
-// likely failing behind an open breaker.
-func TestRetainedEntryServedWhileRecomputeInFlight(t *testing.T) {
-	c, clock, reg := cacheFixture(8, time.Second, time.Hour)
-
-	v1 := cached{body: []byte("v1\n")}
-	mustGet(t, c, "k", nil, func() (cached, error) { return v1, nil })
-	clock.Advance(2 * time.Second)
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.get(context.Background(), "k", nil, func() (cached, error) {
-			close(entered)
-			<-release
-			return cached{}, errors.New("slow failure")
-		})
-		done <- err
-	}()
-	<-entered
-
-	val, how, err := c.get(context.Background(), "k", always, nil)
-	if err != nil || how != outcomeStale || string(val.body) != "v1\n" {
-		t.Fatalf("in-flight degraded get = (%q, %q, %v), want retained v1 as stale", val.body, how, err)
-	}
-
-	// A non-degraded concurrent caller still coalesces onto the leader.
-	coalesced := make(chan outcome, 1)
-	go func() {
-		_, how, _ := c.get(context.Background(), "k", nil, func() (cached, error) {
-			t.Error("coalescing caller must not become a leader")
-			return cached{}, nil
-		})
-		coalesced <- how
-	}()
-	// Only release the leader once the second caller has attached to it.
-	waitFor(t, func() bool {
-		return reg.Snapshot().Get("serve.cache.coalesced") == 1
-	})
-	close(release)
-	if err := <-done; err == nil {
-		t.Fatal("leader should have failed")
-	}
-	if how := <-coalesced; how != outcomeCoalesced {
-		t.Fatalf("concurrent non-degraded get served %q, want coalesced", how)
-	}
-}
-
-// TestExpiredEntryStillRecomputesFresh pins the non-degraded path: expiry
-// with a healthy compute yields a fresh value, and the retained predecessor
-// never resurfaces.
-func TestExpiredEntryStillRecomputesFresh(t *testing.T) {
-	c, clock, reg := cacheFixture(8, time.Second, time.Hour)
-	mustGet(t, c, "k", nil, func() (cached, error) { return cached{body: []byte("v1\n")}, nil })
-	clock.Advance(2 * time.Second)
-	val, how := mustGet(t, c, "k", nil, func() (cached, error) { return cached{body: []byte("v2\n")}, nil })
-	if how != outcomeMiss || string(val.body) != "v2\n" {
-		t.Fatalf("recompute = (%q, %q), want fresh v2 miss", val.body, how)
-	}
-	if got := reg.Snapshot().Get("serve.cache.retained"); got != 0 {
-		t.Fatalf("serve.cache.retained = %d, want 0 on the healthy path", got)
-	}
-}
-
 // TestPeek covers the cache-only probe the gateway's peer-aware lookup
-// uses: fresh entries hit, within-maxStale entries serve stale, and absent,
-// expired-beyond-stale or in-flight keys miss without waiting.
+// uses: completed entries hit, and absent or in-flight keys miss without
+// waiting.
 func TestPeek(t *testing.T) {
-	c, clock, _ := cacheFixture(8, time.Second, time.Minute)
+	c := newResultCache(8, DefaultTenants(), stats.NewRegistry(), "serve.cache")
 
-	if _, _, ok := c.peek("k"); ok {
+	if _, ok := c.peek("k"); ok {
 		t.Fatal("peek hit an absent key")
 	}
-	mustGet(t, c, "k", nil, func() (cached, error) { return cached{body: []byte("v\n")}, nil })
-	if val, how, ok := c.peek("k"); !ok || how != outcomeHit || string(val.body) != "v\n" {
-		t.Fatalf("fresh peek = (%q, %q, %v), want a hit", val.body, how, ok)
+	if _, _, err := c.get(context.Background(), "k", func() (cached, error) {
+		return cached{body: []byte("v\n")}, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	clock.Advance(30 * time.Second) // expired, within maxStale
-	if _, how, ok := c.peek("k"); !ok || how != outcomeStale {
-		t.Fatalf("within-maxStale peek = (%q, %v), want stale", how, ok)
-	}
-	clock.Advance(10 * time.Minute) // beyond ttl+maxStale
-	if _, _, ok := c.peek("k"); ok {
-		t.Fatal("peek served an entry beyond ttl+maxStale")
+	if val, ok := c.peek("k"); !ok || string(val.body) != "v\n" {
+		t.Fatalf("peek = (%q, %v), want a hit", val.body, ok)
 	}
 
 	// In-flight keys never make a probe wait.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.get(context.Background(), "k2", nil, func() (cached, error) {
+		c.get(context.Background(), "k2", func() (cached, error) {
 			close(entered)
 			<-release
 			return cached{body: []byte("x\n")}, nil
 		})
 	}()
 	<-entered
-	if _, _, ok := c.peek("k2"); ok {
+	if _, ok := c.peek("k2"); ok {
 		t.Fatal("peek returned an in-flight entry")
 	}
 	close(release)

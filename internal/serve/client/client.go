@@ -390,9 +390,8 @@ func (c *Client) TraceSpans(ctx context.Context, id stats.TraceID) (stats.TraceS
 }
 
 // CacheOutcome says how a simulation was served: "hit" (result cache),
-// "coalesced" (collapsed onto a concurrent identical request), "miss"
-// (freshly simulated) or "stale" (an expired entry served while the
-// server's simulate path is degraded).
+// "coalesced" (collapsed onto a concurrent identical request) or "miss"
+// (freshly simulated).
 type CacheOutcome string
 
 // Simulate runs one simulation, returning the decoded result and how the
@@ -420,20 +419,12 @@ func (c *Client) SimulateRaw(ctx context.Context, req serve.SimulateRequest) ([]
 // Sweep runs a batch of simulations through the server's worker pool and
 // returns the decoded results in item order.
 func (c *Client) Sweep(ctx context.Context, req serve.SweepRequest) ([]serve.RunResult, error) {
-	body, err := json.Marshal(req)
+	runs, err := c.SweepRaw(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := c.do(ctx, http.MethodPost, "/v1/sweep", body, nil)
-	if err != nil {
-		return nil, err
-	}
-	var resp serve.SweepResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]serve.RunResult, len(resp.Runs))
-	for i, raw := range resp.Runs {
+	out := make([]serve.RunResult, len(runs))
+	for i, raw := range runs {
 		if err := json.Unmarshal(raw, &out[i]); err != nil {
 			return nil, fmt.Errorf("tcord: decoding run %d: %w", i, err)
 		}
@@ -443,10 +434,10 @@ func (c *Client) Sweep(ctx context.Context, req serve.SweepRequest) ([]serve.Run
 
 // CacheProbe asks the server whether it already holds req's result, without
 // letting it compute one: the request carries serve.CacheOnlyHeader, which
-// the daemon answers from its result cache (fresh or within maxStale) or
-// rejects with 404 cache_miss. A miss is not an error — it returns
-// (nil, "", false, nil) — so the cluster gateway can probe a key's owning
-// shard before allowing a failover shard to simulate from scratch.
+// the daemon answers from its result cache or rejects with 404 cache_miss.
+// A miss is not an error — it returns (nil, "", false, nil) — so the
+// cluster gateway can probe a key's owning shard before allowing a failover
+// shard to simulate from scratch.
 func (c *Client) CacheProbe(ctx context.Context, req serve.SimulateRequest) ([]byte, CacheOutcome, bool, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -601,22 +592,21 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (se
 	}
 }
 
-// SweepRaw is Sweep returning each run's exact served bytes, undecoded,
-// plus the response headers (the Warning header flags stale items). The
-// cluster gateway merges shard sub-sweeps with these so the assembled
+// SweepRaw is Sweep returning each run's exact served bytes, undecoded.
+// The cluster gateway merges shard sub-sweeps with these so the assembled
 // response is byte-identical to a single node serving the whole sweep.
-func (c *Client) SweepRaw(ctx context.Context, req serve.SweepRequest) ([]json.RawMessage, http.Header, error) {
+func (c *Client) SweepRaw(ctx context.Context, req serve.SweepRequest) ([]json.RawMessage, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	data, hdr, err := c.do(ctx, http.MethodPost, "/v1/sweep", body, nil)
+	data, _, err := c.do(ctx, http.MethodPost, "/v1/sweep", body, nil)
 	if err != nil {
-		return nil, hdr, err
+		return nil, err
 	}
 	var resp serve.SweepResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, hdr, err
+		return nil, err
 	}
-	return resp.Runs, hdr, nil
+	return resp.Runs, nil
 }

@@ -18,6 +18,9 @@ import (
 	"tcor/internal/stats"
 )
 
+// maxTimeout clamps the deadline a request may ask for, on both tiers.
+const maxTimeout = 10 * time.Minute
+
 // Front is the tier-neutral HTTP shell. A simulation daemon (Server) and a
 // cluster gateway each mount one, so the two tiers share a single request
 // wrapper, error envelope, body reader, deadline clamp, plumbing endpoints
@@ -56,10 +59,9 @@ type FrontConfig struct {
 
 	// MaxBodyBytes bounds request bodies, 413 beyond (0 = 1 MiB).
 	// DefaultTimeout is the deadline of a request that carries none
-	// (0 = 60s); MaxTimeout clamps the ones that do (0 = 10m).
+	// (0 = 60s). Request-supplied deadlines are clamped to maxTimeout.
 	MaxBodyBytes   int64
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 
 	// Enter is the tier's own layer. It runs inside the panic recovery once
 	// the request ID, trace context and root span are in the request's
@@ -87,9 +89,6 @@ func NewFront(cfg FrontConfig) *Front {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 60 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 10 * time.Minute
 	}
 	if cfg.TraceCapacity == 0 {
 		cfg.TraceCapacity = 4096
@@ -346,14 +345,14 @@ func (f *Front) BeginSim(w http.ResponseWriter, r *http.Request, into any) ([]by
 }
 
 // RequestContext derives the per-request deadline: the request-supplied
-// timeout clamped to MaxTimeout, falling back to DefaultTimeout.
+// timeout clamped to maxTimeout, falling back to DefaultTimeout.
 func (f *Front) RequestContext(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
 	d := f.cfg.DefaultTimeout
 	if timeoutMs > 0 {
 		d = time.Duration(timeoutMs) * time.Millisecond
 	}
-	if d > f.cfg.MaxTimeout {
-		d = f.cfg.MaxTimeout
+	if d > maxTimeout {
+		d = maxTimeout
 	}
 	return context.WithTimeout(r.Context(), d)
 }

@@ -370,7 +370,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 		// Cells ride the shared result cache (charged to the job's tenant)
 		// but reach computeCell directly — no admission gate; the job pool
 		// is the concurrency bound.
-		val, _, err := m.s.cache.get(ctx, j.key, nil, func() (cached, error) {
+		val, _, err := m.s.cache.get(ctx, j.key, func() (cached, error) {
 			m.cellsSim.Inc() // before the outcome, like serve.admitted
 			return m.s.computeCell(ctx, j)
 		})

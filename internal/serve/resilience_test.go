@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,19 +203,17 @@ func TestInjectedPanicInSingleflightLeader(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndServesStale walks the degradation path end to end on a
+// TestBreakerOpenStillServesHits walks the degradation path end to end on a
 // fake clock: compute failures trip the breaker, /readyz degrades, the
-// breaker short-circuits new compute, an expired cache entry is served
-// stale with the Warning header, and a successful probe after the cooldown
-// closes the breaker again.
-func TestBreakerOpensAndServesStale(t *testing.T) {
+// breaker short-circuits new compute while cached results keep serving as
+// plain hits, and a successful probe after the cooldown closes the breaker
+// again.
+func TestBreakerOpenStillServesHits(t *testing.T) {
 	fc := resilience.NewFakeClock(time.Unix(1000, 0))
 	var failing sync.Map // alias -> bool
 	s := NewServer(Options{
-		Workers:  1,
-		CacheTTL: time.Minute,
-		MaxStale: time.Hour,
-		Clock:    fc,
+		Workers: 1,
+		Clock:   fc,
 		// The healthy warm-up run below counts as a window success, so two
 		// failures make 2/3 >= 0.6 at the 3-sample minimum: trip.
 		Breaker: &resilience.BreakerConfig{
@@ -265,23 +265,27 @@ func TestBreakerOpensAndServesStale(t *testing.T) {
 		t.Fatalf("serve.breaker.shortCircuits = %d, want 1", got)
 	}
 
-	// The cached entry expires; with the breaker open it is served stale.
-	fc.Advance(2 * time.Minute)
-	rec = postJSON(h, "/v1/simulate", `{"benchmark":"GTr","frames":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stale-eligible request = %d (body %s), want 200", rec.Code, rec.Body)
-	}
-	if got := rec.Header().Get("X-Tcord-Cache"); got != "stale" {
-		t.Fatalf("X-Tcord-Cache = %q, want stale", got)
-	}
-	if w := rec.Header().Get("Warning"); w == "" {
-		t.Fatal("stale response is missing the Warning header")
-	}
-	if rec.Body.String() != good.Body.String() {
-		t.Fatal("stale response bytes differ from the original cached response")
-	}
-	if got := s.reg.Snapshot().Get("serve.cache.staleServes"); got != 1 {
-		t.Fatalf("serve.cache.staleServes = %d, want 1", got)
+	// The open breaker only guards compute: a cached key is still a plain
+	// hit with the original bytes, and so is a cache-only probe.
+	for _, probe := range []bool{false, true} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(`{"benchmark":"GTr","frames":1}`))
+		if probe {
+			req.Header.Set(CacheOnlyHeader, "1")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cached request (probe=%v) = %d (body %s), want 200", probe, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Tcord-Cache"); got != "hit" {
+			t.Fatalf("X-Tcord-Cache (probe=%v) = %q, want hit", probe, got)
+		}
+		if w := rec.Header().Get("Warning"); w != "" {
+			t.Fatalf("cached response (probe=%v) carries Warning %q", probe, w)
+		}
+		if rec.Body.String() != good.Body.String() {
+			t.Fatalf("cached response bytes (probe=%v) differ from the original", probe)
+		}
 	}
 
 	// Cooldown elapses, the dependency recovers: one successful probe

@@ -59,6 +59,8 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown field", `{"benchmark":"CCS","turbo":true}`, 400, "unknown field"},
 		{"negative frames", `{"benchmark":"CCS","frames":-1}`, 400, "frames"},
 		{"negative size", `{"benchmark":"CCS","tileCacheKB":-4}`, 400, "tileCacheKB"},
+		{"tcor at list cache size", `{"benchmark":"CCS","config":"tcor","tileCacheKB":16}`, 400, "primitive list cache"},
+		{"tcor-nol2 at 1 KiB", `{"benchmark":"CCS","config":"tcor-nol2","tileCacheKB":1}`, 400, "primitive list cache"},
 		{"over frame limit", `{"benchmark":"CCS","frames":1000}`, 400, "server limit"},
 		{"trailing garbage", `{"benchmark":"CCS"} {}`, 400, "trailing"},
 		{"not json", `hello`, 400, "decoding request"},

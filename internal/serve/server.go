@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcor/internal/experiments"
@@ -20,6 +19,10 @@ import (
 	"tcor/internal/stats"
 	"tcor/internal/workload"
 )
+
+// MaxSweepItems bounds the items of one /v1/sweep on a daemon. A gateway
+// splits larger sweeps into sub-sweeps of at most this many items per shard.
+const MaxSweepItems = 64
 
 // Options configures a Server. The zero value is production-usable: every
 // limit falls back to the default documented on its field.
@@ -35,14 +38,10 @@ type Options struct {
 	// DefaultTimeout is the per-request deadline when the request does not
 	// carry one (0 = 60s).
 	DefaultTimeout time.Duration
-	// MaxTimeout clamps request-supplied deadlines (0 = 10m).
-	MaxTimeout time.Duration
 	// MaxBodyBytes bounds request bodies; larger ones get 413 (0 = 1 MiB).
 	MaxBodyBytes int64
 	// MaxFrames bounds the frames one simulation may run (0 = 32).
 	MaxFrames int
-	// MaxSweepItems bounds the items of one /v1/sweep (0 = 64).
-	MaxSweepItems int
 	// Registry receives every serving-layer metric (queue depth, in-flight
 	// gauge, cache hit/miss/eviction counts, rejections, panics, latency
 	// histograms); nil means a private registry, readable via
@@ -63,20 +62,13 @@ type Options struct {
 	// before passing it in; nil disables injection with zero cost.
 	Chaos *resilience.Injector
 	// Breaker, when non-nil, guards the simulation path with a circuit
-	// breaker: repeated compute failures open it, open-state requests are
-	// answered 503 (code "breaker_open") or served bounded-stale from the
-	// cache, and /readyz reports degraded. Nil disables the breaker.
+	// breaker: repeated compute failures open it, open-state cache misses
+	// are answered 503 (code "breaker_open") while cached results are still
+	// served, and /readyz reports degraded. Nil disables the breaker.
 	Breaker *resilience.BreakerConfig
-	// CacheTTL bounds a cached result's freshness; an expired entry is
-	// recomputed on next use (0 = entries stay fresh forever, the historical
-	// behavior).
-	CacheTTL time.Duration
-	// MaxStale bounds how far past CacheTTL an expired entry may still be
-	// served while the breaker is open (0 = never serve stale). Stale
-	// responses carry X-Tcord-Cache: stale and a Warning header.
-	MaxStale time.Duration
-	// Clock is the time source for cache expiry and breaker cooldowns
-	// (nil = wall clock). Tests pass a resilience.FakeClock.
+	// Clock is the time source for queue-wait metering, injected latency
+	// and breaker cooldowns (nil = wall clock). Tests pass a
+	// resilience.FakeClock.
 	Clock resilience.Clock
 	// TileParallel, when >1, runs each simulation's per-tile raster
 	// planning on that many workers (gpu.Config.TileParallel). Results are
@@ -121,9 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFrames == 0 {
 		o.MaxFrames = 32
-	}
-	if o.MaxSweepItems == 0 {
-		o.MaxSweepItems = 64
 	}
 	if o.Registry == nil {
 		o.Registry = stats.NewRegistry()
@@ -199,10 +188,9 @@ func NewServer(opts Options) *Server {
 		opts:  opts,
 		reg:   reg,
 		gate:  newGate(opts.Workers, opts.QueueDepth, opts.Tenants, opts.Clock, reg),
-		cache: newResultCache(opts.CacheEntries, opts.CacheTTL, opts.MaxStale, opts.Clock, opts.Tenants, reg, "serve.cache"),
-		// Arena reports are a few KiB each and deterministic, so entries
-		// stay fresh forever under the same LRU bound as the simulate cache.
-		arenaCache: newResultCache(opts.CacheEntries, 0, 0, opts.Clock, opts.Tenants, reg, "serve.arena.cache"),
+		cache: newResultCache(opts.CacheEntries, opts.Tenants, reg, "serve.cache"),
+		// Arena reports share the simulate cache's LRU bound.
+		arenaCache: newResultCache(opts.CacheEntries, opts.Tenants, reg, "serve.arena.cache"),
 		logger:     opts.Logger,
 		chaos:      opts.Chaos,
 		clock:      opts.Clock,
@@ -235,12 +223,11 @@ func NewServer(opts Options) *Server {
 		TraceCapacity:  opts.TraceCapacity,
 		MaxBodyBytes:   opts.MaxBodyBytes,
 		DefaultTimeout: opts.DefaultTimeout,
-		MaxTimeout:     opts.MaxTimeout,
 		Enter:          s.enter,
 		Classify:       classifyInjected,
 		RetryAfter:     s.retryAfterEstimate,
 		Degraded: func() string {
-			if s.breakerOpen() {
+			if s.brk.State() == resilience.Open {
 				return "circuit open"
 			}
 			return ""
@@ -422,14 +409,6 @@ func (s *Server) registerInvariants() {
 		}
 		return nil
 	})
-	s.reg.RegisterInvariant("serve.staleServesNeedHits", func(snap stats.Snapshot) error {
-		// Every stale serve re-reads an entry some miss once completed; a
-		// cache that was never filled cannot serve stale.
-		if stale, miss := snap.Get("serve.cache.staleServes"), snap.Get("serve.cache.misses"); stale > 0 && miss == 0 {
-			return fmt.Errorf("stale serves %d with zero misses", stale)
-		}
-		return nil
-	})
 	s.reg.RegisterInvariant("serve.queueWaitMatchesAdmissions", func(snap stats.Snapshot) error {
 		// The admission-wait histogram observes successful admissions only
 		// (canceled waiters meter serve.queue.canceledWait instead), and the
@@ -437,14 +416,6 @@ func (s *Server) registerInvariants() {
 		// can read fewer observations than admissions, never more.
 		if obs, adm := snap.Get("serve.queue.wait.count"), snap.Get("serve.admitted"); obs > adm {
 			return fmt.Errorf("queue-wait observations %d exceed admissions %d", obs, adm)
-		}
-		return nil
-	})
-	s.reg.RegisterInvariant("serve.cacheRetainedBounded", func(snap stats.Snapshot) error {
-		// Every retention restores an entry that a TTL expiry dropped for
-		// recompute moments earlier.
-		if ret, exp := snap.Get("serve.cache.retained"), snap.Get("serve.cache.expired"); ret > exp {
-			return fmt.Errorf("cache retentions %d exceed expiries %d", ret, exp)
 		}
 		return nil
 	})
@@ -597,14 +568,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// Peer probe: answer from the completed cache or not at all. No
 		// admission, no simulation — a probing gateway must never turn a
 		// cheap lookup into a second copy of the owner's work.
-		val, how, ok := s.cache.peek(j.key)
+		val, ok := s.cache.peek(j.key)
 		if !ok {
 			s.front.WriteError(w, &apiError{status: http.StatusNotFound,
 				code: "cache_miss", msg: "result not cached"})
 			return
 		}
-		metaFrom(r.Context()).noteOutcome(how)
-		writeResult(w, how, val.body)
+		metaFrom(r.Context()).noteOutcome(outcomeHit)
+		writeResult(w, outcomeHit, val.body)
 		return
 	}
 	ctx, cancel := s.front.RequestContext(r, req.TimeoutMs)
@@ -618,14 +589,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, how, val.body)
 }
 
-// writeResult serves a result body with its cache disposition; a stale one
-// carries a Warning.
+// writeResult serves a result body with its cache disposition.
 func writeResult(w http.ResponseWriter, how outcome, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Tcord-Cache", string(how))
-	if how == outcomeStale {
-		w.Header().Set("Warning", `110 tcord "response is stale"`)
-	}
 	w.Write(body) //nolint:errcheck // client gone is its own problem
 }
 
@@ -635,7 +602,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	jobs, timeoutMs, err := ResolveSweep(req, s.opts.MaxSweepItems, "server", s.resolve)
+	jobs, timeoutMs, err := ResolveSweep(req, MaxSweepItems, "server", s.resolve)
 	if err != nil {
 		s.front.WriteError(w, err)
 		return
@@ -653,15 +620,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// harness uses; each one still passes the admission gate and the
 	// result cache, so a sweep is exactly N simulate calls with shared
 	// scheduling and deterministic (item-order) results.
-	var anyStale atomic.Bool
 	runs, err := experiments.SweepSlice(ctx, s.opts.Workers, jobs,
 		func(ctx context.Context, j job) (json.RawMessage, error) {
-			val, how, err := s.runJob(ctx, j)
+			val, _, err := s.runJob(ctx, j)
 			if err != nil {
 				return nil, err
-			}
-			if how == outcomeStale {
-				anyStale.Store(true)
 			}
 			// Trim the canonical trailing newline: the bodies embed into
 			// the runs array, where encoding/json would compact it anyway.
@@ -670,9 +633,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.front.WriteError(w, err)
 		return
-	}
-	if anyStale.Load() {
-		w.Header().Set("Warning", `110 tcord "response includes stale items"`)
 	}
 	s.front.WriteJSON(w, SweepResponse{Runs: runs})
 }
@@ -692,13 +652,13 @@ func AsyncRequested(r *http.Request) bool {
 // table and the admission gate, in that order: a cached result costs no
 // worker slot, a coalesced waiter rides the leader's slot, and only a true
 // miss enters the queue. The compute path is guarded by the circuit
-// breaker (when configured): an open breaker short-circuits to 503 before
-// a worker slot is consumed, and the cache may then serve bounded-stale
-// entries instead. The cache disposition is noted on the request's meta
+// breaker (when configured): an open breaker short-circuits a miss to 503
+// before a worker slot is consumed, while cached results are still served.
+// The cache disposition is noted on the request's meta
 // for the access log. A request with check set fails with 500
 // "invariant_violation" when the result breaks a hierarchy invariant.
 func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
-	val, how, err := s.cache.get(ctx, j.key, s.breakerOpen, func() (cached, error) {
+	val, how, err := s.cache.get(ctx, j.key, func() (cached, error) {
 		done, allowErr := s.brk.Allow()
 		var oe *resilience.OpenError
 		if errors.As(allowErr, &oe) {
@@ -732,10 +692,6 @@ func (s *Server) runJob(ctx context.Context, j job) (cached, outcome, error) {
 	}
 	return val, how, nil
 }
-
-// breakerOpen reports whether the simulate path's breaker is open — the
-// cache's license to serve bounded-stale entries.
-func (s *Server) breakerOpen() bool { return s.brk.State() == resilience.Open }
 
 // breakerOutcome classifies a compute error for the circuit breaker. Only
 // failures of the simulation path itself count against it: cancellations
