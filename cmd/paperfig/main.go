@@ -10,7 +10,7 @@
 //	paperfig -all -parallel 8   # same, bounded to 8 concurrent simulations
 //	paperfig -frames 2 -benchmarks CCS,SoD -fig 20
 //	paperfig -all -timeout 10m  # abort if the full pass exceeds 10 minutes
-//	paperfig -all -http :0      # expvar + pprof while the sweep runs
+//	paperfig -all -http :0      # /v1/stats, /metrics + pprof while the sweep runs
 //	paperfig -fig 14 -stats m.json  # dump the runner's memo metrics
 //	paperfig -all -checkpoint runs.ckpt  # journal runs; resume after a crash
 //	paperfig -arena                     # race every replacement policy vs OPT
@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,7 +149,7 @@ func main() {
 	report := flag.String("report", "", "write a full markdown results report to this file")
 	statsPath := flag.String("stats", "", "write the runner's memoization/sweep metrics as JSON to this file")
 	tracePath := flag.String("trace", "", "write the sweep schedule as Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-	httpAddr := flag.String("http", "", "serve expvar and pprof on this address while running (e.g. :0)")
+	httpAddr := flag.String("http", "", "serve the runner's metrics (/v1/stats, /metrics) and pprof on this address while running (e.g. :0)")
 	checkpoint := flag.String("checkpoint", "", "journal completed runs to this file and resume from it after a crash")
 	version := flag.Bool("version", false, "print the build identity and exit")
 	flag.Parse()
@@ -264,15 +265,14 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		// The metrics registry is live: publishing before the work starts
-		// lets /debug/vars show memo hits/misses accumulate mid-sweep.
-		stats.PublishExpvar("paperfig", r.Metrics())
-		addr, stop, err := stats.ServeDebug(*httpAddr)
+		// The metrics registry is live: serving it before the work starts
+		// lets /v1/stats show memo hits/misses accumulate mid-sweep.
+		addr, stop, err := stats.ServeDebug(*httpAddr, telemetryHandler(r.Metrics()))
 		if err != nil {
 			fail(err)
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "paperfig: debug server on http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "paperfig: debug server on http://%s/v1/stats\n", addr)
 	}
 
 	plotFigures = *plot
@@ -296,6 +296,19 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// telemetryHandler serves the runner's registry on -http the way tcord
+// serves its own: /v1/stats as the JSON snapshot, /metrics as Prometheus
+// text under the paperfig namespace.
+func telemetryHandler(reg *stats.Registry) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(reg.Snapshot()) //nolint:errcheck // best-effort over HTTP
+	})
+	mux.Handle("/metrics", stats.MetricsHandler("paperfig", reg))
+	return mux
 }
 
 // writeTrace exports the recorded sweep spans as Chrome trace_event JSON.

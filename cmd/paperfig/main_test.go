@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -179,5 +181,43 @@ func TestExecuteUnknownFigure(t *testing.T) {
 	}
 	if err := execute(r, execOpts{table: 7}); err == nil {
 		t.Error("unknown table must fail")
+	}
+}
+
+// TestTelemetryHandler drives the -http pages in process: /v1/stats is the
+// runner's live snapshot and /metrics keeps the paperfig_memo_ names.
+func TestTelemetryHandler(t *testing.T) {
+	r := experiments.NewRunner()
+	r.Frames = 1
+	for range 2 {
+		if _, err := r.Scene("GTr"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := telemetryHandler(r.Metrics())
+	get := func(path string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
+	}
+
+	code, body := get("/v1/stats")
+	var snap map[string]int64
+	if err := json.Unmarshal([]byte(body), &snap); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats answered %d (%v): %s", code, err, body)
+	}
+	if snap["memo.scenes.misses"] != 1 || snap["memo.scenes.hits"] != 1 {
+		t.Errorf("/v1/stats scene memo = %d misses / %d hits, want 1 / 1",
+			snap["memo.scenes.misses"], snap["memo.scenes.hits"])
+	}
+
+	code, body = get("/metrics")
+	for _, want := range []string{
+		"# TYPE paperfig_memo_scenes_misses counter\npaperfig_memo_scenes_misses 1\n",
+		"paperfig_memo_scenes_hits 1\n",
+	} {
+		if code != http.StatusOK || !strings.Contains(body, want) {
+			t.Errorf("/metrics answered %d without %q", code, want)
+		}
 	}
 }

@@ -7,7 +7,7 @@
 //
 //	tcord                                  # serve on :8344
 //	tcord -addr 127.0.0.1:9000 -workers 4 -queue 16
-//	tcord -debug :8345                     # expvar + pprof alongside the API
+//	tcord -debug :8345                     # pprof alongside the API
 //	tcord -chaos "rate=0.1,lat=50ms,codes=500|503,seed=7"  # fault injection
 //	tcord -shards host:8344,host:8345      # gateway over shard daemons
 //	tcord -tenants tenants.json            # multi-tenant QoS roster
@@ -112,7 +112,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs := flag.NewFlagSet("tcord", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	fs.StringVar(&o.addr, "addr", ":8344", "API listen address (host:port; :0 picks a free port)")
-	fs.StringVar(&o.debugAddr, "debug", "", "serve expvar and pprof on this address (e.g. :8345; empty = off)")
+	fs.StringVar(&o.debugAddr, "debug", "", "serve pprof on this address (e.g. :8345; empty = off)")
 	fs.IntVar(&o.workers, "workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 	fs.IntVar(&o.tilePar, "tile-parallel", 0, "per-tile raster planning workers within each simulation; results and cache keys are identical at every level (0 or 1 = serial)")
 	fs.IntVar(&o.queue, "queue", 64, "max requests waiting for a worker before 429s (0 = reject when all workers busy)")
@@ -290,8 +290,6 @@ func gatewayOptions(o options) cluster.Options {
 // daemon is what tcord runs in either mode: a serve.Server or a
 // cluster.Gateway, both mounted on the same serve.Front.
 type daemon interface {
-	Registry() *stats.Registry
-	Tracer() *stats.Tracer
 	Start(addr string) (string, error)
 	Shutdown(ctx context.Context) error
 	CheckInvariants() error
@@ -331,19 +329,17 @@ func run(o options) error {
 	})
 }
 
-// serveUntilSignal is the lifecycle of either mode: the optional debug
-// server (expvar, pprof and the span trace), Start, then on SIGINT/SIGTERM
-// a drain bounded by -drain and the invariant check at exit.
+// serveUntilSignal is the lifecycle of either mode: the optional pprof
+// server, Start, then on SIGINT/SIGTERM a drain bounded by -drain and the
+// invariant check at exit.
 func serveUntilSignal(o options, d daemon, announce func(addr string)) error {
 	if o.debugAddr != "" {
-		stats.PublishExpvar("tcord", d.Registry())
-		stats.PublishTrace("tcord", d.Tracer())
-		addr, stop, err := stats.ServeDebug(o.debugAddr)
+		addr, stop, err := stats.ServeDebug(o.debugAddr, nil)
 		if err != nil {
 			return err
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "tcord: debug server on http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "tcord: pprof on http://%s/debug/pprof/\n", addr)
 	}
 
 	sig := make(chan os.Signal, 1)

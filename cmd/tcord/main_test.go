@@ -192,8 +192,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 }
 
 // TestGatewayLifecycle runs gateway mode through the shared lifecycle: the
-// -debug server publishes the gateway's span trace, and SIGTERM drains it
-// with the invariants intact.
+// API port serves the gateway's span trace, the -debug port serves pprof
+// and nothing else, and SIGTERM drains it with the invariants intact.
 func TestGatewayLifecycle(t *testing.T) {
 	shard := httptest.NewServer(serve.NewServer(serve.Options{}).Handler())
 	defer shard.Close()
@@ -222,22 +222,31 @@ func TestGatewayLifecycle(t *testing.T) {
 		t.Fatalf("gateway exited before serving: %v", err)
 	}
 
-	resp, err := http.Get("http://" + addr + "/v1/version")
-	if err != nil {
-		t.Fatal(err)
+	get := func(url string) (int, string) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
-	resp.Body.Close()
-	resp, err = http.Get("http://" + debugAddr + "/debug/trace")
-	if err != nil {
-		t.Fatal(err)
+	get("http://" + addr + "/v1/version")
+	if code, body := get("http://" + addr + "/debug/trace"); code != http.StatusOK || !strings.Contains(body, `"http.request"`) {
+		t.Fatalf("API /debug/trace answered %d %s, want the gateway's request span", code, body)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"http.request"`) {
-		t.Fatalf("debug trace answered %d %s, want the gateway's request span", resp.StatusCode, body)
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/debug/vars":   http.StatusNotFound,
+		"/metrics":      http.StatusNotFound,
+		"/debug/trace":  http.StatusNotFound,
+	} {
+		if code, _ := get("http://" + debugAddr + path); code != want {
+			t.Errorf("debug port %s answered %d, want %d", path, code, want)
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -13,7 +13,7 @@
 //	tcorsim -benchmark CCS -check          # verify cross-level invariants
 //	tcorsim -benchmark CCS -evtrace 32 -stats out.json  # last 32 L2 evictions
 //	tcorsim -benchmark CCS -trace out.json # span trace for chrome://tracing
-//	tcorsim -benchmark GoW -http :0        # expvar + pprof while running
+//	tcorsim -benchmark GoW -http :0        # /v1/stats, /metrics + pprof while running
 //	tcorsim -benchmark SoD -compare -chaos "rate=0.5,lat=100ms"  # fault drill
 //	tcorsim -benchmark CCS -policy ARC     # race one policy vs LRU and OPT
 //
@@ -31,6 +31,11 @@
 // (L1 list/attribute/tile/vertex caches, L2, DRAM, per-region traffic).
 // Counter names are identical across configurations — the organization a
 // run did not use appears as zeros — so downstream tooling can diff runs.
+//
+// -http serves the same document live at /v1/stats (the runs finished so
+// far), each run's registry as Prometheus text at /metrics under the
+// namespace tcorsim.<benchmark>.<config>, the -trace span buffer at
+// /debug/trace, and pprof.
 package main
 
 import (
@@ -39,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -75,16 +81,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
 		defer cancel()
-	}
-
-	if opts.httpAddr != "" {
-		addr, stop, err := stats.ServeDebug(opts.httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcorsim:", err)
-			os.Exit(1)
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "tcorsim: debug server on http://%s/debug/vars\n", addr)
 	}
 
 	if err := run(ctx, os.Stdout, opts); err != nil {
@@ -145,7 +141,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON span trace (chrome://tracing, Perfetto) to this file")
 	fs.BoolVar(&o.check, "check", false, "verify the cross-level stats invariants after each run (violations fail the command)")
 	fs.IntVar(&o.evtrace, "evtrace", 0, "record the last N L2 evictions into the -stats dump (0 = off)")
-	fs.StringVar(&o.httpAddr, "http", "", "serve expvar and pprof on this address while running (e.g. :0)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /v1/stats, /metrics, /debug/trace (with -trace) and pprof on this address while running (e.g. :0)")
 	fs.StringVar(&o.chaos, "chaos", "", `inject faults into -compare sweep jobs, e.g. "rate=0.5,lat=100ms,seed=3" (empty = off)`)
 	fs.BoolVar(&o.version, "version", false, "print the build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -218,6 +214,8 @@ type statsRun struct {
 	TileCacheKB int            `json:"tileCacheKB"`
 	Counters    stats.Snapshot `json:"counters"`
 	L2Trace     []stats.Event  `json:"l2Trace,omitempty"`
+
+	reg *stats.Registry // rendered by -http's /metrics
 }
 
 // statsDoc is the top-level -stats JSON shape.
@@ -226,7 +224,7 @@ type statsDoc struct {
 }
 
 // collector gathers per-run registries across the (possibly concurrent)
-// -compare sweep.
+// -compare sweep, for the -stats dump and the -http pages.
 type collector struct {
 	mu   sync.Mutex
 	runs []statsRun
@@ -252,6 +250,31 @@ func (c *collector) sorted() []statsRun {
 		return out[i].Config < out[j].Config
 	})
 	return out
+}
+
+// handler serves the runs finished so far on -http: /v1/stats is the -stats
+// document, /metrics renders each run's registry under the namespace
+// tcorsim.<benchmark>.<config>, and /debug/trace exports tracer when -trace
+// records one.
+func (c *collector) handler(tracer *stats.Tracer) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(statsDoc{Runs: c.sorted()}) //nolint:errcheck // best-effort over HTTP
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		for _, r := range c.sorted() {
+			r.reg.WritePrometheus(w, "tcorsim."+r.Benchmark+"."+r.Config) //nolint:errcheck // best-effort over HTTP
+		}
+	})
+	if tracer != nil {
+		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			tracer.WriteChromeTrace(w) //nolint:errcheck // best-effort over HTTP
+		})
+	}
+	return mux
 }
 
 // runPolicy races o.policy against the LRU and OPT anchors on the selected
@@ -285,6 +308,22 @@ func runPolicy(ctx context.Context, w io.Writer, o options) error {
 }
 
 func run(ctx context.Context, w io.Writer, o options) error {
+	col := &collector{}
+	var tracer *stats.Tracer
+	if o.tracePath != "" {
+		tracer = stats.NewTracer(traceCapacity)
+		// Sweep jobs (under -compare) pick the tracer up from the context
+		// and wrap each configuration in a sweep.job span.
+		ctx = stats.ContextWithTracer(ctx, tracer)
+	}
+	if o.httpAddr != "" {
+		addr, stop, err := stats.ServeDebug(o.httpAddr, col.handler(tracer))
+		if err != nil {
+			return err
+		}
+		defer stop()
+		fmt.Fprintf(os.Stderr, "tcorsim: debug server on http://%s/v1/stats\n", addr)
+	}
 	if o.policy != "" {
 		return runPolicy(ctx, w, o)
 	}
@@ -312,17 +351,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 			float64(st.PBFootprint)/(1024*1024), st.AvgPrimReuse, scene.NumFrames())
 	}
 
-	var tracer *stats.Tracer
-	if o.tracePath != "" {
-		tracer = stats.NewTracer(traceCapacity)
-		// Sweep jobs (under -compare) pick the tracer up from the context
-		// and wrap each configuration in a sweep.job span.
-		ctx = stats.ContextWithTracer(ctx, tracer)
-		if o.httpAddr != "" {
-			stats.PublishTrace("tcorsim", tracer)
-		}
-	}
-
 	if o.chaos != "" {
 		// The injector rides the context into the sweep pool, where each job
 		// consults the experiments.sweep site before simulating. With a
@@ -334,7 +362,6 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		fmt.Fprintf(os.Stderr, "tcorsim: CHAOS MODE armed (%s) on the sweep pool\n", o.chaos)
 	}
 
-	col := &collector{}
 	if o.compare {
 		// Each configuration renders into its own buffer inside the sweep
 		// pool; printing afterwards in slice order keeps the output stable.
@@ -431,19 +458,12 @@ func simulate(w io.Writer, scene *workload.Scene, config string, o options, col 
 	if o.statsPath != "" || o.httpAddr != "" {
 		sr := statsRun{
 			Benchmark: res.Benchmark, Config: config, TileCacheKB: o.sizeKB,
-			Counters: reg.Snapshot(),
+			Counters: reg.Snapshot(), reg: reg,
 		}
 		if res.L2Trace != nil {
 			sr.L2Trace = res.L2Trace.Events()
 		}
 		col.add(sr)
-		if o.httpAddr != "" {
-			stats.PublishExpvar("tcorsim."+res.Benchmark+"."+config, reg)
-			if res.L2Trace != nil {
-				// Surfaces the eviction ring at GET /debug/events.
-				stats.PublishEvents("tcorsim."+res.Benchmark+"."+config, res.L2Trace)
-			}
-		}
 	}
 	if o.jsonOut {
 		pbL2, pbMem := res.L2In.PB(), res.DRAMIn.PB()

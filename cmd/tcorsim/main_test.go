@@ -3,13 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 
 	"tcor/internal/arena"
+	"tcor/internal/geom"
 	"tcor/internal/gpu"
+	"tcor/internal/stats"
 	"tcor/internal/workload"
 )
 
@@ -245,5 +250,66 @@ func TestRunCompareStatsDeterministic(t *testing.T) {
 	if len(doc.Runs[0].Counters) != len(doc.Runs[1].Counters) {
 		t.Errorf("schema differs: %d vs %d counters",
 			len(doc.Runs[0].Counters), len(doc.Runs[1].Counters))
+	}
+}
+
+// TestHTTPHandler drives the -http pages in process: /v1/stats is the
+// -stats document of the runs so far, /metrics keeps each run's registry
+// under the tcorsim.<benchmark>.<config> namespace, and /debug/trace serves
+// the -trace spans only when -trace records them.
+func TestHTTPHandler(t *testing.T) {
+	spec, err := workload.ByAlias("GTr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Frames = 1
+	scene, err := workload.Generate(spec, geom.DefaultScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := options{benchmark: "GTr", sizeKB: 64, frames: 1, evtrace: 8, httpAddr: ":0"}
+	col := &collector{}
+	tracer := stats.NewTracer(traceCapacity)
+	if err := simulate(io.Discard, scene, "tcor", o, col, tracer); err != nil {
+		t.Fatal(err)
+	}
+	get := func(h http.Handler, path string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	h := col.handler(tracer)
+
+	code, body := get(h, "/v1/stats")
+	var doc statsDoc
+	if err := json.Unmarshal([]byte(body), &doc); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats answered %d (%v): %s", code, err, body)
+	}
+	if len(doc.Runs) != 1 || doc.Runs[0].Benchmark != "GTr" || doc.Runs[0].Config != "tcor" {
+		t.Fatalf("/v1/stats runs = %+v", doc.Runs)
+	}
+	reads := doc.Runs[0].Counters["l2.reads"]
+	if reads == 0 || reads != col.runs[0].Counters["l2.reads"] {
+		t.Errorf("/v1/stats l2.reads = %d, run counted %d", reads, col.runs[0].Counters["l2.reads"])
+	}
+	if n := len(doc.Runs[0].L2Trace); n == 0 || n > 8 {
+		t.Errorf("/v1/stats carries %d L2 trace events, want 1..8", n)
+	}
+
+	code, body = get(h, "/metrics")
+	want := fmt.Sprintf("# TYPE tcorsim_GTr_tcor_l2_reads counter\ntcorsim_GTr_tcor_l2_reads %d\n", reads)
+	if code != http.StatusOK || !strings.Contains(body, want) {
+		t.Errorf("/metrics answered %d without %q", code, want)
+	}
+
+	code, body = get(h, "/debug/trace")
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &trace); code != http.StatusOK || err != nil || len(trace.TraceEvents) == 0 {
+		t.Errorf("/debug/trace answered %d (%v) with %d events", code, err, len(trace.TraceEvents))
+	}
+	if code, _ := get(col.handler(nil), "/debug/trace"); code != http.StatusNotFound {
+		t.Errorf("/debug/trace without -trace answered %d, want 404", code)
 	}
 }

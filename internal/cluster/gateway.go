@@ -253,9 +253,6 @@ func (g *Gateway) registerInvariants() {
 // Registry returns the gateway's metric registry.
 func (g *Gateway) Registry() *stats.Registry { return g.reg }
 
-// Tracer returns the gateway's span tracer (nil when tracing is disabled).
-func (g *Gateway) Tracer() *stats.Tracer { return g.tracer }
-
 // Ring returns the gateway's placement ring.
 func (g *Gateway) Ring() *Ring { return g.ring }
 

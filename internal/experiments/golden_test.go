@@ -27,18 +27,19 @@ func TestGoldenSuiteBands(t *testing.T) {
 				name, got, lo, hi)
 		}
 	}
-	// Paper: 13.8% / 5.5% / 3.7% / ~5x. Bands are generous enough for
-	// workload tweaks but catch mechanism regressions.
-	band("memory hierarchy energy decrease", h.MemHierarchyDecrease, 0.08, 0.20)
-	band("total GPU energy decrease", h.GPUEnergyDecrease, 0.03, 0.09)
-	band("FPS increase", h.FPSIncrease, 0.01, 0.12)
-	band("tiling engine speedup", h.TilingSpeedup, 2.5, 7.0)
+	// Paper: 13.8% / 5.5% / 3.7% / ~5x. Each band lies within ±5% of the
+	// value this suite measures at Frames=1 (noted per line), so a change
+	// that moves a headline number by more than that must re-derive it.
+	band("memory hierarchy energy decrease", h.MemHierarchyDecrease, 0.129, 0.142) // measured 0.1356
+	band("total GPU energy decrease", h.GPUEnergyDecrease, 0.050, 0.054)           // measured 0.0516
+	band("FPS increase", h.FPSIncrease, 0.038, 0.041)                              // measured 0.0395
+	band("tiling engine speedup", h.TilingSpeedup, 4.12, 4.54)                     // measured 4.332
 
 	f16, err := r.Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
-	band("PB->memory elimination (Fig. 16)", f16.Average, 0.85, 1.0)
+	band("PB->memory elimination (Fig. 16)", f16.Average, 0.905, 0.999) // measured 0.9518
 	fullElim := 0
 	for _, row := range f16.Rows {
 		if row.TCORReads+row.TCORWrites == 0 {
@@ -53,5 +54,5 @@ func TestGoldenSuiteBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	band("PB->L2 decrease (Fig. 14)", f14.Average, 0.20, 0.45)
+	band("PB->L2 decrease (Fig. 14)", f14.Average, 0.269, 0.297) // measured 0.2830
 }

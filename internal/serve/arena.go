@@ -83,17 +83,22 @@ func ArenaKey(req ArenaRequest) (arena.Options, string, error) {
 	return opts, "arena:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// arenaRunner returns the server's lazily built arena runner: single-frame
+// newArenaRunner builds a runner for the daemon's arena races: single-frame
 // traces (see ArenaRequest), memo tables bounded so an open-ended request
 // stream cannot grow the daemon without bound, and the sweep parallelism the
 // race itself manages (the runner's own Parallel is unused by the arena).
+// Sync races and async arena jobs both build theirs here, so they race the
+// same geometry `paperfig -arena -frames 1` does.
+func newArenaRunner() *experiments.Runner {
+	r := experiments.NewRunner()
+	r.Frames = 1
+	r.MemoCap = 32
+	return r
+}
+
+// arenaRunner returns the server's lazily built, shared arena runner.
 func (s *Server) arenaRunner() *experiments.Runner {
-	s.arenaOnce.Do(func() {
-		r := experiments.NewRunner()
-		r.Frames = 1
-		r.MemoCap = 32
-		s.arenaR = r
-	})
+	s.arenaOnce.Do(func() { s.arenaR = newArenaRunner() })
 	return s.arenaR
 }
 

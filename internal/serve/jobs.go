@@ -343,13 +343,9 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) ([]byte, error) 
 	if err := decodeStrict(e.body, &req); err != nil {
 		return nil, err
 	}
-	jobs := make([]job, len(req.Items))
-	for i, item := range req.Items {
-		j, err := m.s.resolve(item)
-		if err != nil {
-			return nil, BadRequest("item %d: %v", i, err)
-		}
-		jobs[i] = j
+	jobs, _, err := ResolveSweep(req, MaxSweepItems, "server", m.s.resolve)
+	if err != nil {
+		return nil, err
 	}
 	cp, _, err := experiments.OpenJournal(e.journalPath(), e.rec.ID, nil)
 	if err != nil {
@@ -403,9 +399,7 @@ func (m *jobManager) runArena(ctx context.Context, e *jobEntry) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	runner := experiments.NewRunner()
-	runner.Frames = 1
-	runner.MemoCap = 32
+	runner := newArenaRunner()
 	restored, err := runner.OpenCheckpoint(e.journalPath())
 	if err != nil {
 		return nil, err

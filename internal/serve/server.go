@@ -45,8 +45,8 @@ type Options struct {
 	// Registry receives every serving-layer metric (queue depth, in-flight
 	// gauge, cache hit/miss/eviction counts, rejections, panics, latency
 	// histograms); nil means a private registry, readable via
-	// Server.Registry. Pass it to stats.PublishExpvar to surface the daemon
-	// on the debug server; GET /metrics always serves it as Prometheus text.
+	// Server.Registry. The API port serves it as GET /v1/stats (JSON) and
+	// GET /metrics (Prometheus text).
 	Registry *stats.Registry
 	// Logger receives the structured access log (one line per request with
 	// request ID, queue wait, cache disposition, status and duration) and

@@ -2,22 +2,25 @@
 // counter/gauge/histogram registry shared by every level of the memory
 // hierarchy, a named-invariant checker that cross-validates the counters, a
 // bounded event-trace ring for debugging replacement decisions, a bounded
-// span tracer with Chrome trace_event export, and JSON/expvar/Prometheus
-// export for long-running sweeps and the tcord daemon.
+// span tracer with Chrome trace_event export, Prometheus text exposition,
+// and the pprof debug server behind the binaries' -debug/-http flags.
+//
+// The package holds no process-wide state: every process serves the
+// registry and tracer it owns. The daemon serves them on its API port
+// (/v1/stats, /metrics, /debug/trace); the CLIs serve theirs on the same
+// paths next to pprof (ServeDebug).
 //
 // The registry is race-clean by construction — counters and gauges are
 // single atomic words, and the name table is mutex-protected — so
 // concurrent simulations driven by the experiments.Sweep worker pool can
 // publish into one registry without synchronizing with each other. All
-// exported views (Snapshot, JSON, expvar) are deterministic: names are
+// exported views (Snapshot, Prometheus) are deterministic: names are
 // emitted in sorted order.
 package stats
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,17 +94,6 @@ type Snapshot map[string]int64
 
 // Get returns the value of a metric (0 if absent).
 func (s Snapshot) Get(name string) int64 { return s[name] }
-
-// WriteJSON writes the snapshot as indented JSON with sorted keys.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
 
 // Invariant is a named consistency check over a snapshot.
 type Invariant struct {
@@ -277,6 +269,3 @@ func (r *Registry) Check() error {
 	}
 	return errors.Join(errs...)
 }
-
-// WriteJSON writes the registry's current snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(w) }

@@ -3,10 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -74,8 +71,9 @@ func TestSnapshotJSONSchemaStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.second").Store(2)
 	r.Counter("a.first").Store(1)
+	// Encode the way the daemon's /v1/stats and the CLIs' -http pages do.
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -188,68 +186,5 @@ func TestRingConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Total() != 2000 {
 		t.Errorf("total = %d, want 2000", r.Total())
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("x").Store(1)
-	PublishExpvar("tcor-test", r1)
-	v := expvar.Get("tcor-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if !strings.Contains(v.String(), `"x":1`) {
-		t.Errorf("expvar = %s", v.String())
-	}
-	// Republishing under the same name must swap, not panic.
-	r2 := NewRegistry()
-	r2.Counter("x").Store(2)
-	PublishExpvar("tcor-test", r2)
-	if !strings.Contains(expvar.Get("tcor-test").String(), `"x":2`) {
-		t.Errorf("expvar after swap = %s", expvar.Get("tcor-test").String())
-	}
-}
-
-func TestServeDebug(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("serve.test").Store(7)
-	PublishExpvar("serve-debug-test", r)
-	addr, stop, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	blob, ok := vars["serve-debug-test"]
-	if !ok {
-		t.Fatal("published registry missing from /debug/vars")
-	}
-	var snap map[string]int64
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap["serve.test"] != 7 {
-		t.Errorf("serve.test = %d, want 7", snap["serve.test"])
-	}
-	resp2, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("pprof index status %d", resp2.StatusCode)
 	}
 }

@@ -379,81 +379,93 @@ func TestStartSpanContext(t *testing.T) {
 
 // --- debug HTTP surface ---
 
+// debugGet fetches path from a debug server and returns status and body.
+func debugGet(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestServeDebug pins the debug server's own surface: with a nil handler
+// it serves pprof and nothing else.
+func TestServeDebug(t *testing.T) {
+	addr, stop, err := ServeDebug("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/debug/vars":   http.StatusNotFound,
+		"/metrics":      http.StatusNotFound,
+		"/debug/trace":  http.StatusNotFound,
+	} {
+		if code, _ := debugGet(t, addr, path); code != want {
+			t.Errorf("nil handler: %s answered %d, want %d", path, code, want)
+		}
+	}
+}
+
+// TestDebugEndpoints mounts a caller's handler shaped like the CLIs' -http
+// pages (/v1/stats, /metrics, /debug/trace) and checks each of its paths
+// answers next to pprof.
 func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits").Store(9)
 	reg.Histogram("lat").Observe(100)
-	PublishExpvar("dbgtest", reg)
-	defer PublishExpvar("dbgtest", nil)
-
-	ring := NewRing(4)
-	ring.Record(Event{Kind: "evict", Class: "dead", Set: 3, Key: 0xabc})
-	PublishEvents("dbgtest.ring", ring)
-	defer PublishEvents("dbgtest.ring", nil)
-
 	tr := NewTracer(8)
 	tr.Begin("op", "test").End()
-	PublishTrace("dbgtest.trace", tr)
-	defer PublishTrace("dbgtest.trace", nil)
 
-	addr, stop, err := ServeDebug("127.0.0.1:0")
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(reg.Snapshot()) //nolint:errcheck // best-effort over HTTP
+	})
+	mux.Handle("/metrics", MetricsHandler("dbgtest", reg))
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
+		tr.WriteChromeTrace(w) //nolint:errcheck // best-effort over HTTP
+	})
+
+	addr, stop, err := ServeDebug("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
+	if code, _ := debugGet(t, addr, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("pprof answered %d next to a handler", code)
+	}
+	if code, _ := debugGet(t, addr, "/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars answered %d, want 404", code)
 	}
 
-	// /metrics renders every published registry, publish name as namespace.
-	if code, body := get("/metrics"); code != http.StatusOK ||
+	code, body := debugGet(t, addr, "/v1/stats")
+	var snap map[string]int64
+	if err := json.Unmarshal([]byte(body), &snap); code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats: code %d err %v body %q", code, err, body)
+	}
+	if snap["hits"] != 9 || snap["lat.count"] != 1 {
+		t.Errorf("/v1/stats snapshot = %v", snap)
+	}
+
+	if code, body := debugGet(t, addr, "/metrics"); code != http.StatusOK ||
 		!strings.Contains(body, "dbgtest_hits 9") ||
 		!strings.Contains(body, "dbgtest_lat_count 1") {
 		t.Errorf("/metrics: code %d body %q", code, body)
 	}
 
-	// /debug/events serves each published ring's retained events.
-	code, body := get("/debug/events?name=dbgtest.ring")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/events code %d", code)
-	}
-	var pages map[string]struct {
-		Total  int64   `json:"total"`
-		Events []Event `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(body), &pages); err != nil {
-		t.Fatalf("/debug/events not JSON: %v", err)
-	}
-	pg, ok := pages["dbgtest.ring"]
-	if !ok || pg.Total != 1 || len(pg.Events) != 1 || pg.Events[0].Kind != "evict" {
-		t.Errorf("/debug/events page = %+v", pages)
-	}
-	if code, _ := get("/debug/events?name=no.such.ring"); code != http.StatusNotFound {
-		t.Errorf("unknown ring answered %d, want 404", code)
-	}
-
-	// /debug/trace serves the published tracer as a Chrome trace.
-	code, body = get("/debug/trace?name=dbgtest.trace")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace code %d", code)
-	}
+	code, body = debugGet(t, addr, "/debug/trace")
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil || len(doc.TraceEvents) != 1 {
-		t.Errorf("/debug/trace body %q err %v", body, err)
-	}
-	if code, _ := get("/debug/trace?name=no.such.trace"); code != http.StatusNotFound {
-		t.Errorf("unknown trace answered %d, want 404", code)
+	if err := json.Unmarshal([]byte(body), &doc); code != http.StatusOK || err != nil || len(doc.TraceEvents) != 1 {
+		t.Errorf("/debug/trace: code %d err %v body %q", code, err, body)
 	}
 }
